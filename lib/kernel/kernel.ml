@@ -41,6 +41,23 @@ type t = {
   states : (int, proc_state) Hashtbl.t; (* pid -> state *)
 }
 
+(* The callgraph is the immutable part of a kernel: [Callgraph.synthesize]
+   is pure and nothing mutates a [Callgraph.t] afterwards, so every kernel
+   built from the same (graph_config, seed) in this process shares one
+   graph, read-only, across domains.  One entry suffices: a sweep's cells
+   share the simulation seed.  Two domains missing at once both synthesize
+   equal graphs and the later store wins; either is correct. *)
+let graph_memo : (Callgraph.config * int * Callgraph.t) option Atomic.t =
+  Atomic.make None
+
+let shared_graph config seed =
+  match Atomic.get graph_memo with
+  | Some (c, s, g) when s = seed && c = config -> g
+  | _ ->
+    let g = Callgraph.synthesize ~config seed in
+    Atomic.set graph_memo (Some (config, seed, g));
+    g
+
 let create ?(config = default_config) ~seed () =
   let phys = Physmem.create ~frames:config.frames in
   let shared_frame =
@@ -48,7 +65,7 @@ let create ?(config = default_config) ~seed () =
     | Some f -> f
     | None -> invalid_arg "Kernel.create: not enough frames"
   in
-  let graph = Callgraph.synthesize ~config:config.graph_config seed in
+  let graph = shared_graph config.graph_config seed in
   {
     cfg = config;
     phys;

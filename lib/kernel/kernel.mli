@@ -22,6 +22,10 @@ val default_config : config
 type t
 
 val create : ?config:config -> seed:int -> unit -> t
+(** A fresh kernel: physical memory, slab, cgroups, trace and processes are
+    its own.  Its callgraph is shared: kernels created with the same
+    [config.graph_config] and [seed] in one process get the same (physically
+    equal) immutable graph. *)
 
 val phys : t -> Physmem.t
 val slab : t -> Slab.t

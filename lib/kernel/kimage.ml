@@ -16,6 +16,7 @@ type t = {
   by_nr : (int, sysdesc) Hashtbl.t;
   node_fid : (int, int) Hashtbl.t;
   fid_node : (int, int) Hashtbl.t;
+  dispatch_nodes : (int, unit) Hashtbl.t; (* realized from a [Dispatch] shape *)
 }
 
 let table_slots = 8
@@ -122,8 +123,9 @@ let realize_target t graph node =
   | None -> add_func t graph node (Codegen.gen_body (target_shape node) ~tail:`Ret)
 
 (* Helper nodes for a syscall: breadth-first over direct callees of the
-   entry, skipping nodes already realized (they are reused as-is). *)
-let helper_nodes graph entry n =
+   entry.  Nodes already realized are reused as-is, except that [avoid]
+   nodes are passed over (their callees are still visited). *)
+let helper_nodes graph entry n ~avoid =
   let acc = ref [] in
   let seen = Hashtbl.create 16 in
   let q = Queue.create () in
@@ -132,7 +134,7 @@ let helper_nodes graph entry n =
     let u = Queue.pop q in
     if not (Hashtbl.mem seen u) then begin
       Hashtbl.replace seen u ();
-      acc := u :: !acc;
+      if not (avoid u) then acc := u :: !acc;
       List.iter (fun v -> Queue.add v q) (Callgraph.direct_callees graph u)
     end
   done;
@@ -163,13 +165,23 @@ let build graph ~seed ~fid_base ~syscalls =
       by_nr = Hashtbl.create 32;
       node_fid = Hashtbl.create 256;
       fid_node = Hashtbl.create 256;
+      dispatch_nodes = Hashtbl.create 16;
     }
   in
   let realize_syscall nr =
     if not (Hashtbl.mem t.by_nr nr) then begin
       let entry_node = Callgraph.entry_of_syscall graph nr in
       let shapes = shapes_for nr in
-      let nodes = helper_nodes graph entry_node (List.length shapes) in
+      (* A dispatch body icalls through r13, which only a syscall with its
+         own dispatch table sets up: a syscall without one must not reuse
+         such a body. *)
+      let dispatches =
+        List.exists
+          (function Codegen.Dispatch _ -> true | Codegen.Loop _ | Codegen.Leaf _ -> false)
+          shapes
+      in
+      let avoid node = (not dispatches) && Hashtbl.mem t.dispatch_nodes node in
+      let nodes = helper_nodes graph entry_node (List.length shapes) ~avoid in
       let table = ref [||] in
       let n = min (List.length shapes) (List.length nodes) in
       let helper_fids =
@@ -183,7 +195,11 @@ let build graph ~seed ~fid_base ~syscalls =
             | Codegen.Dispatch _ | Codegen.Loop _ | Codegen.Leaf _ -> ());
             match Hashtbl.find_opt t.node_fid node with
             | Some fid -> fid
-            | None -> add_func t graph node (Codegen.gen_body shape ~tail:`Ret))
+            | None ->
+              (match shape with
+              | Codegen.Dispatch _ -> Hashtbl.replace t.dispatch_nodes node ()
+              | Codegen.Loop _ | Codegen.Leaf _ -> ());
+              add_func t graph node (Codegen.gen_body shape ~tail:`Ret))
           (List.filteri (fun i _ -> i < n) nodes)
           (List.filteri (fun i _ -> i < n) shapes)
       in

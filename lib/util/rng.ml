@@ -57,23 +57,31 @@ let sample_exp t mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-let sample_geometric t p =
-  let p = if p < 1e-9 then 1e-9 else if p > 1.0 then 1.0 else p in
-  if p >= 1.0 then 0
-  else
-    let u = 1.0 -. float t 1.0 in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
+type 'a weighted = { values : 'a array; cum : float array }
 
-let pick_weighted t pairs =
-  if Array.length pairs = 0 then invalid_arg "Rng.pick_weighted: empty array";
-  let total = Array.fold_left (fun acc (_, w) -> acc +. Float.max w 0.0) 0.0 pairs in
-  if total <= 0.0 then invalid_arg "Rng.pick_weighted: non-positive total weight";
-  let target = float t total in
-  let rec go i acc =
-    if i = Array.length pairs - 1 then fst pairs.(i)
+let weighted pairs =
+  let n = Array.length pairs in
+  if n = 0 then invalid_arg "Rng.weighted: empty array";
+  let cum = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i (_, w) ->
+      acc := !acc +. Float.max w 0.0;
+      cum.(i) <- !acc)
+    pairs;
+  if !acc <= 0.0 then invalid_arg "Rng.weighted: non-positive total weight";
+  { values = Array.map fst pairs; cum }
+
+(* [cum] is non-decreasing, so the first [i < n-1] with [target < cum.(i)]
+   (else [n-1]) is a binary search.  A NaN total makes [target] NaN: every
+   comparison is false and the last value is returned. *)
+let pick t { values; cum } =
+  let n = Array.length cum in
+  let target = float t cum.(n - 1) in
+  let rec go lo hi =
+    if lo >= hi then lo
     else
-      let _, w = pairs.(i) in
-      let acc = acc +. Float.max w 0.0 in
-      if target < acc then fst pairs.(i) else go (i + 1) acc
+      let mid = (lo + hi) / 2 in
+      if target < cum.(mid) then go lo mid else go (mid + 1) hi
   in
-  go 0 0.0
+  values.(go 0 (n - 1))

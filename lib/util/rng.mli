@@ -48,10 +48,15 @@ val shuffle : t -> 'a array -> unit
 val sample_exp : t -> float -> float
 (** [sample_exp t mean] draws from an exponential distribution. *)
 
-val sample_geometric : t -> float -> int
-(** [sample_geometric t p] is the number of failures before the first success
-    of a Bernoulli([p]) process; [p] is clamped away from 0. *)
+type 'a weighted
+(** A weighted choice table: the values with their running weight sums. *)
 
-val pick_weighted : t -> ('a * float) array -> 'a
-(** Weighted choice over a non-empty array of (value, weight >= 0) pairs with
-    positive total weight. *)
+val weighted : ('a * float) array -> 'a weighted
+(** [weighted pairs] builds the table once over a non-empty array of
+    (value, weight) pairs; negative weights count as 0.  Raises
+    [Invalid_argument] when the array is empty or the total weight is not
+    positive. *)
+
+val pick : t -> 'a weighted -> 'a
+(** Weighted choice in O(log n) with a single {!float} draw.  Value [i] is
+    drawn with probability [max w_i 0 / total]. *)

@@ -488,6 +488,82 @@ let test_kimage_program_valid () =
   let prog = Pv_isa.Program.of_funcs (Kimage.funcs img) in
   Alcotest.(check bool) "validates" true (Pv_isa.Program.validate prog = Ok ())
 
+(* Non-dispatch syscalls get r13 = shared data, not a dispatch table: a
+   helper realized from a [Dispatch] shape (an icall through r13) would
+   fetch from an invalid VA.  Seed 2024's page_fault once reused poll's
+   dispatch helper this way. *)
+let test_kimage_no_foreign_dispatch () =
+  let has_icall (f : Pv_isa.Program.func) =
+    Array.exists
+      (function Pv_isa.Insn.Icall _ -> true | _ -> false)
+      f.Pv_isa.Program.body
+  in
+  let syscall_sets =
+    [
+      Pv_workloads.Lebench.all_syscalls;
+      Pv_workloads.Apps.all_syscalls;
+      List.init Sysno.count Fun.id;
+    ]
+  in
+  for seed = 1 to 64 do
+    let graph = Callgraph.synthesize seed in
+    List.iter
+      (fun syscalls ->
+        let img = Kimage.build graph ~seed ~fid_base:0 ~syscalls in
+        let funcs = Array.of_list (Kimage.funcs img) in
+        List.iter
+          (fun nr ->
+            match Kimage.desc img nr with
+            | Some d when d.Kimage.table_nodes = [||] ->
+              List.iter
+                (fun fid ->
+                  if has_icall funcs.(fid) then
+                    Alcotest.failf "seed %d: %s helper fid %d is a dispatch body" seed
+                      (Sysno.name nr) fid)
+                d.Kimage.helper_fids
+            | Some _ | None -> ())
+          (Kimage.realized_syscalls img))
+      syscall_sets
+  done
+
+(* --- shared callgraph --- *)
+
+let small_graph =
+  { Callgraph.default_config with nodes = 4_000; shared_core = 400; indirect_pool = 600 }
+
+let test_shared_graph_same_key () =
+  let a = Kernel.create ~seed:42 () in
+  let b = Kernel.create ~seed:42 () in
+  Alcotest.(check bool) "physically equal graphs" true (Kernel.graph a == Kernel.graph b);
+  Alcotest.(check bool) "own physical memory" true (Kernel.phys a != Kernel.phys b)
+
+let test_shared_graph_other_key () =
+  let g42 = Kernel.graph (Kernel.create ~seed:42 ()) in
+  let g43 = Kernel.graph (Kernel.create ~seed:43 ()) in
+  Alcotest.(check bool) "other seed: fresh graph" true (g43 = Callgraph.synthesize 43);
+  Alcotest.(check bool) "other seed: not the seed-42 graph" true (g43 != g42);
+  let config = { Kernel.default_config with graph_config = small_graph } in
+  let small = Kernel.graph (Kernel.create ~config ~seed:42 ()) in
+  Alcotest.(check bool) "other graph_config: fresh graph" true
+    (small = Callgraph.synthesize ~config:small_graph 42);
+  Alcotest.(check int) "other graph_config: its node count" 4_000 (Callgraph.nnodes small)
+
+let test_shared_graph_domains () =
+  let config = { Kernel.default_config with frames = 1_024; graph_config = small_graph } in
+  let expected = Array.init 2 (fun s -> Callgraph.synthesize ~config:small_graph (s + 1)) in
+  let worker d () =
+    let bad = ref 0 in
+    for i = 0 to 49 do
+      let s = (d + i) mod 2 in
+      let k = Kernel.create ~config ~seed:(s + 1) () in
+      if Kernel.graph k <> expected.(s) then incr bad
+    done;
+    !bad
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  check Alcotest.int "kernels whose graph is another seed's" 0 bad
+
 let suite =
   [
     ( "kernel.buddy",
@@ -543,10 +619,15 @@ let suite =
         Alcotest.test_case "mmap ownership" `Quick test_kernel_mmap_ownership;
         Alcotest.test_case "tracing" `Quick test_kernel_trace_feeds;
         Alcotest.test_case "owner_of_va" `Quick test_kernel_owner_of_va;
+        Alcotest.test_case "shared graph: same key" `Quick test_shared_graph_same_key;
+        Alcotest.test_case "shared graph: other key" `Quick test_shared_graph_other_key;
+        Alcotest.test_case "shared graph: 4 domains" `Quick test_shared_graph_domains;
       ] );
     ( "kernel.kimage",
       [
         Alcotest.test_case "structure" `Quick test_kimage_structure;
         Alcotest.test_case "program validates" `Quick test_kimage_program_valid;
+        Alcotest.test_case "no dispatch body without a table" `Quick
+          test_kimage_no_foreign_dispatch;
       ] );
   ]

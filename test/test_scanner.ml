@@ -45,6 +45,17 @@ let test_corpus_scoping () =
   check (Alcotest.float 1e-9) "none excluded by full view" 0.0
     (Gadgets.excluded_pct corpus Gadgets.Mds full)
 
+(* Pins the pick order of the planted corpus: any change to the weighted
+   sampler's draws or to the weights shows up here, not only as a changed
+   benchmark table. *)
+let test_corpus_kat () =
+  let digest seed =
+    let nodes = Gadgets.nodes (Gadgets.plant (Callgraph.synthesize seed) ~seed) in
+    Digest.to_hex (Digest.string (String.concat "," (List.map string_of_int nodes)))
+  in
+  check Alcotest.string "seed 1" "accc71bd6cadd2fc755f028fa94414a2" (digest 1);
+  check Alcotest.string "seed 42" "6daaa3b4735feb0a4e1113d7c28b173a" (digest 42)
+
 let test_campaign_full_kernel () =
   let r = Campaign.run graph corpus ~seed:1 () in
   check Alcotest.int "covers the kernel" (Callgraph.nnodes graph) r.Campaign.examined;
@@ -88,6 +99,7 @@ let suite =
         Alcotest.test_case "determinism" `Quick test_corpus_determinism;
         Alcotest.test_case "distinct nodes" `Quick test_corpus_distinct_per_kind;
         Alcotest.test_case "scoping" `Quick test_corpus_scoping;
+        Alcotest.test_case "corpus KAT seeds 1 and 42" `Quick test_corpus_kat;
       ] );
     ( "scanner.campaign",
       [

@@ -123,12 +123,66 @@ let test_rng_float_bounds () =
 let test_pick_weighted_bias () =
   let r = Rng.create 21 in
   let counts = Hashtbl.create 2 in
+  let table = Rng.weighted [| ("a", 9.0); ("b", 1.0) |] in
   for _ = 1 to 10_000 do
-    let v = Rng.pick_weighted r [| ("a", 9.0); ("b", 1.0) |] in
+    let v = Rng.pick r table in
     Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
   done;
   let a = Option.value ~default:0 (Hashtbl.find_opt counts "a") in
   Alcotest.(check bool) "90/10 split approx" true (a > 8_700 && a < 9_300)
+
+(* The linear-scan weighted choice that [Rng.pick] replaced, kept verbatim
+   as the oracle: [pick] must return the same value and consume the same
+   single draw, so every planted corpus stays byte-identical. *)
+let oracle_pick_weighted t pairs =
+  if Array.length pairs = 0 then invalid_arg "Rng.pick_weighted: empty array";
+  let total = Array.fold_left (fun acc (_, w) -> acc +. Float.max w 0.0) 0.0 pairs in
+  if total <= 0.0 then invalid_arg "Rng.pick_weighted: non-positive total weight";
+  let target = Rng.float t total in
+  let rec go i acc =
+    if i = Array.length pairs - 1 then fst pairs.(i)
+    else
+      let _, w = pairs.(i) in
+      let acc = acc +. Float.max w 0.0 in
+      if target < acc then fst pairs.(i) else go (i + 1) acc
+  in
+  go 0 0.0
+
+(* Weights mixing zeros, negatives and ties; lengths 0 (rejected) and 1
+   included. *)
+let weights_arb =
+  let open QCheck.Gen in
+  let weight =
+    frequency
+      [
+        (4, float_range 0.001 100.0);
+        (2, return 0.0);
+        (1, float_range (-50.0) (-0.001));
+        (2, oneofl [ 1.0; 2.5 ]);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(array float)
+    (frequency [ (1, array_size (return 1) weight); (6, array_size (int_range 0 40) weight) ])
+
+let rng_pick_oracle_prop =
+  QCheck.Test.make ~name:"Rng.pick = linear-scan oracle (value and RNG state)" ~count:500
+    QCheck.(triple int weights_arb (int_range 1 20))
+    (fun (seed, ws, draws) ->
+      let pairs = Array.mapi (fun i w -> (i, w)) ws in
+      let r_oracle = Rng.create seed and r_pick = Rng.create seed in
+      match Rng.weighted pairs with
+      | exception Invalid_argument _ -> (
+        match oracle_pick_weighted r_oracle pairs with
+        | exception Invalid_argument _ -> true
+        | _ -> false)
+      | table ->
+        List.for_all
+          (fun _ ->
+            let expected = oracle_pick_weighted r_oracle pairs in
+            let got = Rng.pick r_pick table in
+            expected = got && Rng.int64 (Rng.copy r_oracle) = Rng.int64 (Rng.copy r_pick))
+          (List.init draws Fun.id))
 
 let test_shuffle_permutation () =
   let r = Rng.create 31 in
@@ -688,6 +742,7 @@ let suite =
         Alcotest.test_case "splitmix64 KAT seed 1234567" `Quick test_rng_kat_seed1234567;
         QCheck_alcotest.to_alcotest rng_split_independence_prop;
         QCheck_alcotest.to_alcotest rng_copy_prop;
+        QCheck_alcotest.to_alcotest rng_pick_oracle_prop;
       ] );
     ( "util.stats",
       [
