@@ -312,7 +312,7 @@ let with_sup_config sup ~jobs f =
     | Ok () ->
       (* A fresh checkpointed run must not inherit a previous run's cells.
          Never in a worker: the "stale" file is the coordinator's live
-         journal, and workers keep their own (PV_WORKER_JOURNAL). *)
+         journal, and workers keep their own (named in their HELLO). *)
       (match sup.checkpoint with
       | Some f
         when (not sup.resume) && (not (Pv_util.Procpool.in_worker ()))
@@ -881,27 +881,19 @@ let () =
     | Error (`Parse | `Term) -> 2
     | Error `Exn -> 125
   in
-  (* Multi-process mode: a worker is this same binary re-executed with a
-     hidden __worker argv marker; it parses the identical command line (so
-     it rebuilds the identical sweep) but Supervise hands its cells out of
-     the coordinator's pipe instead of running the whole sweep.  The
-     original argv is recorded either way — it is what the coordinator
-     re-executes under --workers N and ships in the HELLO under --hosts.
-     `__worker --listen HOST:PORT` instead starts a standing TCP worker
-     that serves coordinators forever, evaluating each HELLO's argv. *)
+  (* Multi-process mode: a worker is this same binary re-executed under a
+     hidden __worker argv marker.  Its first protocol line, a HELLO, carries
+     the coordinator's argv, so it rebuilds the identical sweep, but
+     Supervise hands it cells one at a time instead of running the whole
+     sweep.  `__worker --listen HOST:PORT` is a standing TCP worker that
+     reads a HELLO per connection.  The argv is recorded either way: the
+     coordinator ships it in every HELLO. *)
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
-  let args =
-    match args with
-    | marker :: rest when marker = Pv_util.Procpool.worker_arg -> (
-      match rest with
-      | l :: spec :: _ when l = Pv_util.Procpool.listen_arg ->
-        Pv_util.Procpool.standing_worker ~listen:spec ~run:(fun ~argv ->
-            Pv_util.Procpool.set_reexec_argv argv;
-            eval_list argv)
-      | _ ->
-        ignore (Pv_util.Procpool.worker_init ());
-        rest)
-    | _ -> args
-  in
-  Pv_util.Procpool.set_reexec_argv args;
-  exit (eval_list args)
+  match args with
+  | marker :: rest when marker = Pv_util.Procpool.worker_arg ->
+    Pv_util.Procpool.worker_main rest ~run:(fun ~argv ->
+        Pv_util.Procpool.set_reexec_argv argv;
+        eval_list argv)
+  | _ ->
+    Pv_util.Procpool.set_reexec_argv args;
+    exit (eval_list args)

@@ -85,20 +85,6 @@ let access t addr =
     false
   end
 
-let access_no_lru t addr =
-  let line = addr / t.line_bytes in
-  let set = t.sets.(line mod t.nsets) in
-  let tag = line / t.nsets in
-  if find_idx set tag >= 0 then begin
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    fill t set tag;
-    false
-  end
-
 let touch t addr =
   let line = addr / t.line_bytes in
   let set = t.sets.(line mod t.nsets) in

@@ -20,10 +20,6 @@ val access : t -> int -> bool
 (** [access t addr] looks up the line containing [addr]: on hit, updates LRU
     and returns [true]; on miss, fills (evicting LRU) and returns [false]. *)
 
-val access_no_lru : t -> int -> bool
-(** Like {!access} but on a hit does not update recency — Perspective's
-    DSV/ISV caches defer LRU updates until the Visibility Point (§6.2). *)
-
 val touch : t -> int -> unit
 (** Promote a resident line to most-recently-used (the deferred LRU update);
     no effect if absent. *)

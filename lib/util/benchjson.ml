@@ -49,34 +49,20 @@ let make ~date ~label ~scale ~jobs cells =
 
 (* --- emission ----------------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_str f = Printf.sprintf "%.6f" f
 
 let cell_to_json c =
   Printf.sprintf
     {|{"workload":"%s","scheme":"%s","sim_cycles":%d,"committed":%d,"wall_s":%s,"cps":%s}|}
-    (escape c.workload) (escape c.scheme) c.sim_cycles c.committed
+    (Json.escape c.workload) (Json.escape c.scheme) c.sim_cycles c.committed
     (float_str c.wall_s) (float_str c.cps)
 
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Printf.sprintf "  \"schema_version\": %d,\n" t.schema_version);
-  Buffer.add_string buf (Printf.sprintf "  \"date\": \"%s\",\n" (escape t.date));
-  Buffer.add_string buf (Printf.sprintf "  \"label\": \"%s\",\n" (escape t.label));
+  Buffer.add_string buf (Printf.sprintf "  \"date\": \"%s\",\n" (Json.escape t.date));
+  Buffer.add_string buf (Printf.sprintf "  \"label\": \"%s\",\n" (Json.escape t.label));
   Buffer.add_string buf (Printf.sprintf "  \"scale\": %s,\n" (float_str t.scale));
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" t.jobs);
   Buffer.add_string buf "  \"cells\": [\n";

@@ -44,11 +44,9 @@ val cell :
   wall_s:float -> cell
 (** One measured cell; [cps] is derived (0 when [wall_s] is 0). *)
 
-val to_json : t -> string
-(** Deterministic rendering (fields in fixed order, [%.6f] walls). *)
-
 val write : path:string -> t -> unit
-(** Atomic temp-file + rename write of {!to_json}. *)
+(** Atomic temp-file + rename write of the deterministic rendering (fields
+    in fixed order, [%.6f] walls). *)
 
 val parse : string -> (t, string) result
 (** Parse JSON text; [Error] carries a human-readable reason.  Unknown
@@ -68,9 +66,6 @@ val filename_for : label:string -> date:string -> string
 (** {!filename} for label ["cycles"]; ["BENCH_<label>_<date>.json"] for any
     other label, so secondary trajectories (e.g. "pool") never collide with
     the primary one on a date. *)
-
-val is_bench_file : string -> bool
-(** Recognizes basenames of trajectory entries ([BENCH_*.json]). *)
 
 val latest_in : dir:string -> ?excluding:string -> ?label:string -> unit -> string option
 (** Path of the newest trajectory entry in [dir] (dates sort

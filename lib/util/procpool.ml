@@ -7,7 +7,7 @@
    one TCP socket per remote one — see Transport):
 
      coordinator -> worker   HELLO <ver> <wid> <sweep> <journal> <replay> <argv...>
-                                                    (TCP only, on connect)
+                                                    (first line, both transports)
                              RUN <index> <attempt> <hex key>
                              PULL
                              FIN
@@ -44,12 +44,6 @@ let env_float name default =
 let default_drain_timeout () = env_float "PV_PROCPOOL_DRAIN_S" 10.0
 let default_handshake_timeout () = env_float "PV_PROCPOOL_HANDSHAKE_S" 10.0
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* --- worker-side context ----------------------------------------------- *)
 
 type ctx = {
@@ -68,56 +62,112 @@ let in_worker () = !worker <> None
 let worker_arg = "__worker"
 let listen_arg = "--listen"
 
-let worker_init () =
-  let getenv name =
-    match Sys.getenv_opt name with
-    | Some v -> v
-    | None ->
-      Printf.eprintf "procpool worker: missing %s in environment\n%!" name;
-      exit 70
-  in
-  let wid =
-    match int_of_string_opt (getenv "PV_WORKER_ID") with
-    | Some w -> w
-    | None ->
-      Printf.eprintf "procpool worker: malformed PV_WORKER_ID\n%!";
-      exit 70
-  in
-  let journal = getenv "PV_WORKER_JOURNAL" in
-  let sweep =
-    match int_of_string_opt (getenv "PV_WORKER_SWEEP") with
-    | Some s -> s
-    | None ->
-      Printf.eprintf "procpool worker: malformed PV_WORKER_SWEEP\n%!";
-      exit 70
-  in
-  let replay =
-    match Sys.getenv_opt "PV_WORKER_REPLAY" with
-    | Some "" | None -> None
-    | Some p -> Some p
-  in
-  (* The reply channel is a private dup of stdout taken *before* stdout is
-     pointed at /dev/null: the worker re-runs the whole CLI code path, which
-     prints tables and reports as it goes, and none of that may leak into
-     the protocol stream (or the user's terminal). *)
-  let reply_fd = Unix.dup Unix.stdout in
-  Unix.set_close_on_exec reply_fd;
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  Unix.dup2 devnull Unix.stdout;
-  if Sys.getenv_opt "PV_PROCPOOL_DEBUG" = None then Unix.dup2 devnull Unix.stderr;
-  Unix.close devnull;
-  let ctx =
-    {
-      wid;
-      journal;
-      sweep;
-      replay;
-      cmd_in = Unix.in_channel_of_descr Unix.stdin;
-      reply_out = Unix.out_channel_of_descr reply_fd;
-    }
-  in
-  worker := Some ctx;
-  ctx
+(* --- HELLO: the one way a worker learns its context --------------------- *)
+
+type hello = {
+  h_wid : int;
+  h_sweep : int;
+  h_journal : string;
+  h_replay : string option;
+  h_argv : string list;
+}
+
+let hello_version = 1
+
+let hello_line h =
+  let hex = Checksum.hex_of_string in
+  String.concat " "
+    ([
+       "HELLO";
+       string_of_int hello_version;
+       string_of_int h.h_wid;
+       string_of_int h.h_sweep;
+       hex h.h_journal;
+       (match h.h_replay with None -> "-" | Some p -> hex p);
+     ]
+    @ List.map hex h.h_argv)
+
+let parse_hello line =
+  match String.split_on_char ' ' line with
+  | "HELLO" :: ver :: wid :: sweep :: journal :: replay :: argv -> (
+    match
+      ( int_of_string_opt ver,
+        int_of_string_opt wid,
+        int_of_string_opt sweep,
+        Checksum.string_of_hex journal )
+    with
+    | Some v, Some h_wid, Some h_sweep, Some h_journal when v = hello_version -> (
+      let h_replay =
+        if replay = "-" then Some None
+        else match Checksum.string_of_hex replay with Some p -> Some (Some p) | None -> None
+      in
+      match h_replay with
+      | None -> None
+      | Some h_replay -> (
+        let rec decode acc = function
+          | [] -> Some (List.rev acc)
+          | a :: rest -> (
+            match Checksum.string_of_hex a with
+            | Some s -> decode (s :: acc) rest
+            | None -> None)
+        in
+        match decode [] argv with
+        | Some h_argv -> Some { h_wid; h_sweep; h_journal; h_replay; h_argv }
+        | None -> None))
+    | _ -> None)
+  | _ -> None
+
+let hello_timeout = 30.0
+
+(* Read and act on the HELLO.  The read is unbuffered (one byte at a time),
+   so the RUN lines behind it stay in [cmd] for [cmd_in].  The reply channel
+   is a private dup taken *before* stdout is pointed at /dev/null: the
+   worker re-runs the whole CLI code path, which prints tables and reports
+   as it goes, and none of that may leak into the protocol stream (or the
+   user's terminal). *)
+let bootstrap ?(timeout = hello_timeout) ~cmd ~reply () =
+  match Transport.read_line_within cmd ~timeout with
+  | None -> Error
+      (Printf.sprintf "no HELLO line within %.0fs (silent, closed or oversized)"
+         timeout)
+  | Some line -> (
+    match parse_hello line with
+    | None -> Error "malformed HELLO line"
+    | Some h -> (
+      (* A genuinely remote worker does not share the coordinator's scratch
+         tree. *)
+      match Files.mkdir_p (Filename.dirname h.h_journal) with
+      | exception Unix.Unix_error (err, _, _) ->
+        Error
+          (Printf.sprintf "cannot create journal directory: %s"
+             (Unix.error_message err))
+      | () ->
+        let reply_fd = Unix.dup reply in
+        Unix.set_close_on_exec reply_fd;
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        Unix.dup2 devnull Unix.stdout;
+        if Sys.getenv_opt "PV_PROCPOOL_DEBUG" = None then Unix.dup2 devnull Unix.stderr;
+        Unix.close devnull;
+        let ctx =
+          {
+            wid = h.h_wid;
+            journal = h.h_journal;
+            sweep = h.h_sweep;
+            replay = h.h_replay;
+            cmd_in = Unix.in_channel_of_descr cmd;
+            reply_out = Unix.out_channel_of_descr reply_fd;
+          }
+        in
+        worker := Some ctx;
+        Ok (ctx, h.h_argv)))
+
+(* Bootstrap, then re-evaluate the CLI on the HELLO's argv; the exit code. *)
+let run_worker ~cmd ~reply ~run =
+  match bootstrap ~cmd ~reply () with
+  | Error e ->
+    Printf.eprintf "procpool worker: %s\n%!" e;
+    70
+  | Ok (_, argv) -> run ~argv
 
 (* --- worker-side serving ----------------------------------------------- *)
 
@@ -127,14 +177,6 @@ let send_line oc line =
   output_string oc line;
   output_char oc '\n';
   flush oc
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  with Sys_error _ | End_of_file -> None
 
 let serve ctx ~handle =
   send_line ctx.reply_out "RDY";
@@ -147,7 +189,7 @@ let serve ctx ~handle =
          cannot see our filesystem.  Every append flushed, so the file is
          the authoritative committed state; the coordinator re-verifies
          each frame's checksum on load either way. *)
-      let body = Option.value (read_file ctx.journal) ~default:"" in
+      let body = Option.value (Files.read_file ctx.journal) ~default:"" in
       send_line ctx.reply_out (Printf.sprintf "JNL %d" (String.length body));
       output_string ctx.reply_out body;
       flush ctx.reply_out;
@@ -214,91 +256,26 @@ let reexec_argv : string list option ref = ref None
 let set_reexec_argv args = reexec_argv := Some args
 let reexec_available () = !reexec_argv <> None
 
+(* The HELLO for one slot, shared by both transports. *)
+let hello_for ~sweep ~replay ~wid ~journal =
+  match !reexec_argv with
+  | Some h_argv ->
+    { h_wid = wid; h_sweep = sweep; h_journal = journal; h_replay = replay; h_argv }
+  | None -> invalid_arg "Procpool: set_reexec_argv not called"
+
 let reexec_spawner ~sweep ~replay : spawner =
  fun ~wid ~journal ->
-  let argv =
-    match !reexec_argv with
-    | Some a -> a
-    | None -> invalid_arg "Procpool.reexec_spawner: set_reexec_argv not called"
-  in
+  let hello = hello_line (hello_for ~sweep ~replay ~wid ~journal) in
   let cmd_r, cmd_w, reply_r, reply_w = make_pipes () in
   let prog = Sys.executable_name in
-  let args = Array.of_list (prog :: worker_arg :: argv) in
-  let keep =
-    Unix.environment () |> Array.to_list
-    |> List.filter (fun kv ->
-           not
-             (String.length kv >= 10 && String.sub kv 0 10 = "PV_WORKER_"))
-  in
-  let env =
-    Array.of_list
-      (keep
-      @ [
-          Printf.sprintf "PV_WORKER_ID=%d" wid;
-          Printf.sprintf "PV_WORKER_JOURNAL=%s" journal;
-          Printf.sprintf "PV_WORKER_SWEEP=%d" sweep;
-          Printf.sprintf "PV_WORKER_REPLAY=%s" (Option.value replay ~default:"");
-        ])
-  in
-  let pid = Unix.create_process_env prog args env cmd_r reply_w Unix.stderr in
+  let pid = Unix.create_process prog [| prog; worker_arg |] cmd_r reply_w Unix.stderr in
   Unix.close cmd_r;
   Unix.close reply_w;
+  (* A failed write means the child is already dead; waitpid will say so. *)
+  ignore (Transport.send_line cmd_w hello);
   Transport.pipe_link ~pid ~send:cmd_w ~recv:reply_r
 
-(* --- TCP handshake and standing workers ---------------------------------- *)
-
-type hello = {
-  h_wid : int;
-  h_sweep : int;
-  h_journal : string;
-  h_replay : string option;
-  h_argv : string list;
-}
-
-let hello_version = 1
-
-let hello_line h =
-  let hex = Checksum.hex_of_string in
-  String.concat " "
-    ([
-       "HELLO";
-       string_of_int hello_version;
-       string_of_int h.h_wid;
-       string_of_int h.h_sweep;
-       hex h.h_journal;
-       (match h.h_replay with None -> "-" | Some p -> hex p);
-     ]
-    @ List.map hex h.h_argv)
-
-let parse_hello line =
-  match String.split_on_char ' ' line with
-  | "HELLO" :: ver :: wid :: sweep :: journal :: replay :: argv -> (
-    match
-      ( int_of_string_opt ver,
-        int_of_string_opt wid,
-        int_of_string_opt sweep,
-        Checksum.string_of_hex journal )
-    with
-    | Some v, Some h_wid, Some h_sweep, Some h_journal when v = hello_version -> (
-      let h_replay =
-        if replay = "-" then Some None
-        else match Checksum.string_of_hex replay with Some p -> Some (Some p) | None -> None
-      in
-      match h_replay with
-      | None -> None
-      | Some h_replay -> (
-        let rec decode acc = function
-          | [] -> Some (List.rev acc)
-          | a :: rest -> (
-            match Checksum.string_of_hex a with
-            | Some s -> decode (s :: acc) rest
-            | None -> None)
-        in
-        match decode [] argv with
-        | Some h_argv -> Some { h_wid; h_sweep; h_journal; h_replay; h_argv }
-        | None -> None))
-    | _ -> None)
-  | _ -> None
+(* --- TCP connections and standing workers -------------------------------- *)
 
 type connector =
   wid:int -> journal:string -> host:string -> port:int -> timeout:float ->
@@ -306,45 +283,18 @@ type connector =
 
 let tcp_connector ~sweep ~replay : connector =
  fun ~wid ~journal ~host ~port ~timeout ->
-  let argv =
-    match !reexec_argv with
-    | Some a -> a
-    | None -> invalid_arg "Procpool.tcp_connector: set_reexec_argv not called"
-  in
+  let hello = hello_line (hello_for ~sweep ~replay ~wid ~journal) in
   match Transport.connect ~host ~port ~timeout with
   | Error e -> Error e
   | Ok fd ->
-    let h =
-      { h_wid = wid; h_sweep = sweep; h_journal = journal; h_replay = replay;
-        h_argv = argv }
-    in
-    if Transport.send_line fd (hello_line h) then
-      Ok (Transport.sock_link ~host ~port fd)
+    if Transport.send_line fd hello then Ok (Transport.sock_link ~host ~port fd)
     else begin
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error (Printf.sprintf "handshake write to %s:%d failed" host port)
     end
 
-(* Build a worker context from an accepted connection + parsed HELLO and
-   record it, so library code sees [in_worker ()] before the sweep code
-   path runs.  The journal's directory is created: a genuinely remote
-   worker does not share the coordinator's scratch tree. *)
-let tcp_worker_ctx conn (h : hello) =
-  mkdir_p (Filename.dirname h.h_journal);
-  let reply_fd = Unix.dup conn in
-  let ctx =
-    {
-      wid = h.h_wid;
-      journal = h.h_journal;
-      sweep = h.h_sweep;
-      replay = h.h_replay;
-      cmd_in = Unix.in_channel_of_descr conn;
-      reply_out = Unix.out_channel_of_descr reply_fd;
-    }
-  in
-  worker := Some ctx;
-  ctx
-
+(* Accept, fork, reap — nothing else.  The HELLO is read in the forked
+   child, so a silent client stalls only its own serving process. *)
 let standing_accept listen_fd ~serve =
   let rec reap () =
     match Unix.waitpid [ Unix.WNOHANG ] (-1) with
@@ -354,26 +304,15 @@ let standing_accept listen_fd ~serve =
   in
   let rec loop () =
     reap ();
-    match Unix.accept listen_fd with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | conn, _ ->
-      (match Transport.read_line_within conn ~timeout:30.0 with
-      | None -> ( (* silent or malformed client: drop it, keep listening *)
-        try Unix.close conn with Unix.Unix_error _ -> ())
-      | Some line -> (
-        match parse_hello line with
-        | None -> (
-          try Unix.close conn with Unix.Unix_error _ -> ())
-        | Some hello -> (
-          match Unix.fork () with
-          | 0 ->
-            (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-            (match serve ~conn ~hello with
-            | () -> Unix._exit 0
-            | exception _ -> Unix._exit 71)
-          | _pid -> (
-            try Unix.close conn with Unix.Unix_error _ -> ()))));
-      loop ()
+    (match Unix.accept listen_fd with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | conn, _ -> (
+      match Unix.fork () with
+      | 0 ->
+        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+        (match serve ~conn with () -> Unix._exit 0 | exception _ -> Unix._exit 71)
+      | _pid -> ( try Unix.close conn with Unix.Unix_error _ -> ())));
+    loop ()
   in
   loop ()
 
@@ -389,17 +328,13 @@ let standing_worker ~listen ~run =
       exit 70
     | Ok (fd, actual) ->
       Printf.eprintf "procpool: worker listening on %s:%d\n%!" host actual;
-      standing_accept fd ~serve:(fun ~conn ~hello ->
-          let _ctx = tcp_worker_ctx conn hello in
-          (* Same muzzling as [worker_init]: the re-run CLI prints tables as
-             it goes, and none of that may reach the terminal (replies ride
-             the socket, a private dup taken above). *)
-          let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-          Unix.dup2 devnull Unix.stdout;
-          if Sys.getenv_opt "PV_PROCPOOL_DEBUG" = None then
-            Unix.dup2 devnull Unix.stderr;
-          Unix.close devnull;
-          Unix._exit (run ~argv:hello.h_argv)))
+      standing_accept fd ~serve:(fun ~conn ->
+          Unix._exit (run_worker ~cmd:conn ~reply:conn ~run)))
+
+let worker_main args ~run =
+  match args with
+  | l :: spec :: _ when l = listen_arg -> standing_worker ~listen:spec ~run
+  | _ -> exit (run_worker ~cmd:Unix.stdin ~reply:Unix.stdout ~run)
 
 (* --- coordinator -------------------------------------------------------- *)
 
@@ -842,7 +777,7 @@ let run_jobs ?(hosts = []) ?host_respawns ?drain_timeout ?handshake_timeout
           | `Done payload ->
             if (not (Sys.file_exists w.ws_journal)) && payload <> "" then begin
               try
-                mkdir_p (Filename.dirname w.ws_journal);
+                Files.mkdir_p (Filename.dirname w.ws_journal);
                 let oc = open_out_bin w.ws_journal in
                 Fun.protect
                   ~finally:(fun () -> close_out_noerr oc)

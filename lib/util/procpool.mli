@@ -10,12 +10,11 @@
 
     {b Execution model.}  The coordinator spawns [N] local workers —
     normally by re-executing its own binary with a hidden [__worker] argv
-    marker ({!reexec_spawner}), so each worker rebuilds the identical sweep
-    from the identical command line — and connects to any number of
-    standing remote workers ([pv_cli __worker --listen HOST:PORT]) over
-    TCP, greeting each with a [HELLO] carrying slot id, sweep ordinal,
-    journal path and the argv to rebuild the sweep from.  Both kinds speak
-    the same newline-framed protocol over a {!Transport.link}
+    marker ({!reexec_spawner}) — and connects to any number of standing
+    remote workers ([pv_cli __worker --listen HOST:PORT]) over TCP.  Both
+    kinds are greeted with the same [HELLO] line carrying slot id, sweep
+    ordinal, journal path and the argv to rebuild the identical sweep from,
+    and speak the same newline-framed protocol over a {!Transport.link}
     ([RUN <index> <attempt> <hex key>] down, [RDY]/[OK]/[ERR] up).  Cell
     {e results never travel inside the control protocol}: the worker
     appends each result to its own checksummed {!Journal} (and the shared
@@ -71,22 +70,53 @@ type ctx = {
 val worker_arg : string
 (** ["__worker"]: the argv marker the CLI checks to enter worker mode. *)
 
-val listen_arg : string
-(** ["--listen"]: with {!worker_arg}, enters standing TCP worker mode. *)
+type hello = {
+  h_wid : int;
+  h_sweep : int;
+  h_journal : string;
+  h_replay : string option;
+  h_argv : string list;
+}
+(** The coordinator's greeting, the first protocol line on every worker
+    connection — a local worker's stdin pipe or a standing worker's socket
+    alike: slot id, sweep ordinal, journal path, replay journal and the
+    argv to rebuild the sweep from ([HELLO <ver> <wid> <sweep> <hex
+    journal> <hex replay|-> <hex argv>...] — paths and argv are hex-coded
+    so they can never smuggle a space or newline into the framing). *)
 
-val worker_init : unit -> ctx
-(** Enter worker mode: read [PV_WORKER_ID]/[PV_WORKER_JOURNAL]/
-    [PV_WORKER_SWEEP]/[PV_WORKER_REPLAY] from the environment (exit 70 if
-    absent or malformed), dup the protocol reply channel off stdout, then
-    point stdout (and stderr, unless [PV_PROCPOOL_DEBUG] is set) at
-    [/dev/null] — the worker re-runs the whole CLI code path and none of
-    its human-facing output may pollute the protocol or the terminal.
-    Records the context for {!worker_ctx}. *)
+val hello_line : hello -> string
+
+val parse_hello : string -> hello option
+
+val bootstrap :
+  ?timeout:float -> cmd:Unix.file_descr -> reply:Unix.file_descr -> unit ->
+  (ctx * string list, string) result
+(** The one worker bootstrap.  Read one [HELLO] line from [cmd] within
+    [timeout] (default 30 s; unbuffered, so the commands behind it stay in
+    [cmd]), parse it, create the journal's directory, dup [reply] as the
+    private reply channel, then point stdout (and stderr, unless
+    [PV_PROCPOOL_DEBUG] is set) at [/dev/null] — the worker re-runs the
+    whole CLI code path and none of its human-facing output may pollute the
+    protocol or the terminal.  Records the context for {!worker_ctx} and
+    returns it with the [HELLO]'s argv.  Silence, EOF, a malformed line or
+    an uncreatable directory is an [Error] with a one-line diagnostic; stdout,
+    stderr and the recorded context are then left untouched. *)
+
+val worker_main : string list -> run:(argv:string list -> int) -> 'a
+(** [pv_cli __worker ARGS]: {!bootstrap}, then exit with [run] on the
+    [HELLO]'s argv — re-evaluating the CLI so the sweep code path finds
+    {!worker_ctx} and serves cells.  Without [--listen] the worker is a
+    local child reading the [HELLO] on stdin and replying on stdout.  With
+    [--listen HOST:PORT] it is a standing TCP worker: bind the address (port
+    [0] lets the kernel pick), print ["procpool: worker listening on
+    HOST:PORT"] to stderr, and serve coordinators forever through
+    {!standing_accept}, each forked child bootstrapping on its connection.
+    Exits 70 when no valid [HELLO] arrives within the deadline, or on a bad
+    listen spec. *)
 
 val worker_ctx : unit -> ctx option
-(** The context recorded by {!worker_init} or {!standing_worker}, if this
-    process is a worker — how library code (Supervise, the CLI) detects
-    worker mode. *)
+(** The context recorded by {!bootstrap}, if this process is a worker — how
+    library code (Supervise, the CLI) detects worker mode. *)
 
 val in_worker : unit -> bool
 
@@ -103,83 +133,49 @@ val serve : ctx -> handle:(index:int -> attempt:int -> key:string -> verdict) ->
     payload) so a coordinator without filesystem access can collect
     results. *)
 
+val standing_accept : Unix.file_descr -> serve:(conn:Unix.file_descr -> unit) -> unit
+(** Accept loop for a standing worker: accept each connection, fork, and
+    run [serve] in the child (which must not return to the accept loop — it
+    is [_exit]ed); the child reads the [HELLO], so a silent client never
+    blocks the loop.  The parent reaps finished children and keeps
+    listening.  Never returns.  Exposed so tests can serve with their own
+    cells instead of re-running a CLI. *)
+
 (** {1 Spawning local workers} *)
 
 type spawner = wid:int -> journal:string -> Transport.link
 
 val fork_spawner : (ctx -> unit) -> spawner
 (** Spawn workers by [fork]: the child runs the callback on a fresh context
-    and [_exit]s.  For tests — no re-exec, so the callback closes over the
-    test's cells directly.  [sweep]/[replay] are [0]/[None]. *)
+    and [_exit]s.  For tests — no re-exec and no [HELLO], so the callback
+    closes over the test's cells directly.  [sweep]/[replay] are
+    [0]/[None]. *)
 
 val set_reexec_argv : string list -> unit
 (** Record the CLI's original argv (without the program name) so
-    {!reexec_spawner} and {!tcp_connector} can rebuild the command line.
+    {!reexec_spawner} and {!tcp_connector} can put it in the [HELLO].
     Called once at CLI startup. *)
 
 val reexec_available : unit -> bool
 
 val reexec_spawner : sweep:int -> replay:string option -> spawner
-(** Spawn workers by re-executing [Sys.executable_name] with the recorded
-    argv behind a [__worker] marker, passing slot id, journal path, target
-    sweep ordinal and replay journal through [PV_WORKER_*] environment
-    variables.  Raises [Invalid_argument] if {!set_reexec_argv} was never
+(** Spawn workers by re-executing [Sys.executable_name __worker] with the
+    inherited environment, then writing the slot's [HELLO] into its stdin
+    pipe.  Raises [Invalid_argument] if {!set_reexec_argv} was never
     called. *)
 
-(** {1 TCP handshake and standing workers} *)
-
-type hello = {
-  h_wid : int;
-  h_sweep : int;
-  h_journal : string;
-  h_replay : string option;
-  h_argv : string list;
-}
-(** The coordinator's greeting to a standing worker: everything
-    {!reexec_spawner} passes through the environment, carried as the first
-    protocol line instead ([HELLO <ver> <wid> <sweep> <hex journal>
-    <hex replay|-> <hex argv>...] — paths and argv are hex-coded so they
-    can never smuggle a space or newline into the framing). *)
-
-val hello_line : hello -> string
-
-val parse_hello : string -> hello option
+(** {1 Connecting to standing workers} *)
 
 type connector =
   wid:int -> journal:string -> host:string -> port:int -> timeout:float ->
   (Transport.link, string) result
-(** Open one connection to a standing worker and complete the handshake
+(** Open one connection to a standing worker and send its [HELLO]
     (coordinator side). *)
 
 val tcp_connector : sweep:int -> replay:string option -> connector
-(** The production connector: {!Transport.connect} then a [HELLO] built
-    from the recorded argv.  Raises [Invalid_argument] if
+(** The production connector: {!Transport.connect}, then the same [HELLO]
+    {!reexec_spawner} sends.  Raises [Invalid_argument] if
     {!set_reexec_argv} was never called. *)
-
-val tcp_worker_ctx : Unix.file_descr -> hello -> ctx
-(** Build and record a worker context from an accepted connection and its
-    parsed [HELLO] (listener side).  Creates the journal's directory — a
-    genuinely remote worker does not share the coordinator's scratch
-    tree. *)
-
-val standing_accept :
-  Unix.file_descr -> serve:(conn:Unix.file_descr -> hello:hello -> unit) -> unit
-(** Accept loop for a standing worker: read and parse a [HELLO] from each
-    connection (dropping silent or malformed clients), fork, and run
-    [serve] in the child (which must not return to the accept loop — it is
-    [_exit]ed).  The parent reaps finished children and keeps listening.
-    Never returns.  Exposed separately from {!standing_worker} so tests
-    can serve with their own cells instead of re-running a CLI. *)
-
-val standing_worker : listen:string -> run:(argv:string list -> int) -> 'a
-(** [pv_cli __worker --listen HOST:PORT]: bind the address (port [0] lets
-    the kernel pick), print ["procpool: worker listening on HOST:PORT"] to
-    stderr, and serve coordinators forever.  Each accepted [HELLO] forks a
-    serving process that records the worker context, muzzles
-    stdout/stderr like {!worker_init}, and calls [run] on the [HELLO]'s
-    argv — re-evaluating the CLI so the sweep code path finds
-    {!worker_ctx} and serves cells over the socket.  Exits 70 on a bad
-    listen spec. *)
 
 (** {1 Coordinator side} *)
 

@@ -42,12 +42,6 @@ type t = {
   mutable warned_write_error : bool;
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let open_dir ?(salt = "") ?max_entries root =
   String.iter
     (fun c ->
@@ -57,7 +51,7 @@ let open_dir ?(salt = "") ?max_entries root =
   (match max_entries with
   | Some n when n <= 0 -> invalid_arg "Rescache.open_dir: max_entries must be positive"
   | _ -> ());
-  mkdir_p root;
+  Files.mkdir_p root;
   {
     root;
     salt = Printf.sprintf "v%d|%s|%s" format_version code_salt salt;
@@ -85,31 +79,15 @@ let lease_path t ~key = Filename.concat t.root (entry_base t ~key ^ ".lease")
 
 (* --- envelope ---------------------------------------------------------- *)
 
-(* Minimal flat-JSON escaping: salts and keys are restricted or re-encoded
-   (key travels hex-encoded in the authoritative field), so only the
-   human-readable comment needs escaping. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Salts are restricted and the key travels hex-encoded in the authoritative
+   field, so only the human-readable ["key"] comment needs escaping. *)
 let render_envelope t ~key payload =
   let b = Buffer.create (512 + (2 * String.length payload)) in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"rescache_version\": %d,\n" format_version);
   Buffer.add_string b (Printf.sprintf "  \"salt\": \"%s\"," t.salt);
   Buffer.add_char b '\n';
-  Buffer.add_string b (Printf.sprintf "  \"key\": \"%s\",\n" (json_escape key));
+  Buffer.add_string b (Printf.sprintf "  \"key\": \"%s\",\n" (Json.escape key));
   Buffer.add_string b (Printf.sprintf "  \"key_hex\": \"%s\",\n" (hex_of_string key));
   Buffer.add_string b (Printf.sprintf "  \"payload_digest\": \"%s\",\n" (digest_hex payload));
   Buffer.add_string b (Printf.sprintf "  \"payload_hex\": \"%s\"\n" (hex_of_string payload));
@@ -133,16 +111,6 @@ let extract_string body ~field =
     else find (i + 1)
   in
   find 0
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        Some (really_input_string ic n))
-  with Sys_error _ | End_of_file -> None
 
 (* Parse an envelope; [Ok payload] only when every check passes for this
    cache's salt and the stored key equals [key]. [Error `Corrupt] covers
@@ -169,7 +137,7 @@ let parse_envelope t ~key body =
 let find (type a) t ~key : a option =
   let path = entry_path t ~key in
   with_lock t (fun () ->
-      match read_file path with
+      match Files.read_file path with
       | None ->
           t.misses <- t.misses + 1;
           None
@@ -285,7 +253,7 @@ let local_host = lazy (try Unix.gethostname () with Unix.Unix_error _ -> "localh
    ("<pid>\n", no host) are treated as local, which preserves their old
    breaking behaviour. *)
 let read_lease path =
-  match read_file path with
+  match Files.read_file path with
   | None -> None
   | Some body -> (
     match String.split_on_char ' ' (String.trim body) with

@@ -11,12 +11,6 @@ type peer =
 
 type link = { send : Unix.file_descr; recv : Unix.file_descr; peer : peer }
 
-let peer_name = function
-  | Proc { pid } -> Printf.sprintf "pid %d" pid
-  | Sock { host; port } -> Printf.sprintf "%s:%d" host port
-
-let is_sock l = match l.peer with Sock _ -> true | Proc _ -> false
-
 let close_link l =
   (try Unix.close l.send with Unix.Unix_error _ -> ());
   (* Sockets are one descriptor carried twice; pipes are two. *)

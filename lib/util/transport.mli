@@ -29,11 +29,6 @@ type link = {
 (** One worker connection.  For sockets [send == recv] (one full-duplex
     descriptor); for pipes they are the two parent ends. *)
 
-val peer_name : peer -> string
-(** ["pid 1234"] or ["host:port"] — for warnings and dead-host reports. *)
-
-val is_sock : link -> bool
-
 val close_link : link -> unit
 (** Close both descriptors (once, when they are the same socket). *)
 

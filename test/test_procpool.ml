@@ -477,8 +477,14 @@ let test_connector ~wid ~journal ~host ~port ~timeout =
       Error (Printf.sprintf "handshake write to %s:%d failed" host port)
     end
 
-let body_serve ~kill_on ~conn ~hello =
-  worker_body ~kill_on (Procpool.tcp_worker_ctx conn hello)
+(* A serving child bootstraps on its connection exactly as production does:
+   the HELLO arrives on the socket and replies go back over it. *)
+let bootstrap_conn conn =
+  match Procpool.bootstrap ~cmd:conn ~reply:conn () with
+  | Ok (ctx, _argv) -> ctx
+  | Error e -> failwith e
+
+let body_serve ~kill_on ~conn = worker_body ~kill_on (bootstrap_conn conn)
 
 let test_tcp_pool_completes () =
   (* Mixed pool: one local pipe worker plus one TCP worker must complete a
@@ -547,8 +553,8 @@ let test_tcp_kill_reconnect_recovers () =
 
 (* A serving child that journals the cell, writes a torn half-reply ("OK <i>"
    with no terminating newline) and SIGKILLs itself mid-line. *)
-let torn_reply_serve ~conn ~hello =
-  let ctx = Procpool.tcp_worker_ctx conn hello in
+let torn_reply_serve ~conn =
+  let ctx = bootstrap_conn conn in
   let w = Journal.open_writer ctx.Procpool.journal in
   output_string ctx.Procpool.reply_out "RDY\n";
   flush ctx.Procpool.reply_out;
@@ -656,6 +662,161 @@ let test_tcp_handshake_timeout_abandons_host () =
                   (Printf.sprintf "value of %s recovered from pipe worker" k)
                   (Some (2 * i)) (Hashtbl.find_opt tbl k))
               keys))
+
+let test_tcp_silent_client_does_not_block () =
+  (* A client that connects and never sends its HELLO must not stall the
+     standing worker's accept loop: the handshake is read in the forked
+     child, so a second coordinator's sweep on the same listener completes
+     promptly instead of waiting out the 30 s HELLO deadline. *)
+  with_dir (fun scratch ->
+      with_tcp_worker ~serve:(body_serve ~kill_on:[]) (fun port ->
+          match Transport.connect ~host:"127.0.0.1" ~port ~timeout:5.0 with
+          | Error e -> Alcotest.fail ("silent connect: " ^ e)
+          | Ok silent ->
+            Fun.protect
+              ~finally:(fun () -> try Unix.close silent with Unix.Unix_error _ -> ())
+              (fun () ->
+                let keys = keys_of 3 in
+                let t0 = Unix.gettimeofday () in
+                let outcomes, journals, dead =
+                  Procpool.run_jobs
+                    ~hosts:[ ("127.0.0.1", port) ]
+                    ~connect:test_connector ~workers:0 ~respawns:0 ~retries:0
+                    ~scratch
+                    ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[]))
+                    ~keys ()
+                in
+                let elapsed = Unix.gettimeofday () -. t0 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "sweep finished within 5 s (%.1fs)" elapsed)
+                  true (elapsed < 5.0);
+                Alcotest.(check int) "no dead hosts" 0 (List.length dead);
+                Array.iteri
+                  (fun i o ->
+                    match o with
+                    | Procpool.Completed { attempts } ->
+                      check Alcotest.int (Printf.sprintf "cell %d one attempt" i) 1
+                        attempts
+                    | Procpool.Failed { reason; _ } ->
+                      Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
+                  outcomes;
+                let tbl = values_from journals in
+                Array.iteri
+                  (fun i k ->
+                    check Alcotest.(option int)
+                      (Printf.sprintf "value of %s recovered" k)
+                      (Some (2 * i)) (Hashtbl.find_opt tbl k))
+                  keys)))
+
+(* --- the shared HELLO bootstrap ------------------------------------------ *)
+
+let test_bootstrap_valid_hello () =
+  (* A local worker's view: HELLO then a RUN line on stdin, replies on
+     stdout.  The child bootstraps on (stdin, stdout) exactly as a re-exec'd
+     worker does and reports its context over the reply channel.  Checks the
+     ctx fields, that the journal directory was created, that the RUN line
+     behind the HELLO is still readable from cmd_in, and that stdout was
+     muzzled (noise printed after the bootstrap never reaches the reply
+     pipe). *)
+  with_dir (fun dir ->
+      let journal = Filename.concat dir "nested/sub/worker-3.journal" in
+      let hello =
+        { Procpool.h_wid = 3; h_sweep = 2; h_journal = journal;
+          h_replay = Some "/tmp/replay file.journal";
+          h_argv = [ "perf"; "-w"; "select"; "a b\nc" ] }
+      in
+      let cmd_r, cmd_w = Unix.pipe () in
+      let reply_r, reply_w = Unix.pipe () in
+      match Unix.fork () with
+      | 0 ->
+        Unix.close cmd_w;
+        Unix.close reply_r;
+        Unix.dup2 cmd_r Unix.stdin;
+        Unix.dup2 reply_w Unix.stdout;
+        Unix.close cmd_r;
+        Unix.close reply_w;
+        (match Procpool.bootstrap ~cmd:Unix.stdin ~reply:Unix.stdout () with
+        | Error e ->
+          print_string ("ERROR " ^ e ^ "\n");
+          flush stdout
+        | Ok (ctx, argv) ->
+          print_string "noise\n";
+          flush stdout;
+          let oc = ctx.Procpool.reply_out in
+          Printf.fprintf oc "%d %d %s %s %s %b %b\n" ctx.Procpool.wid
+            ctx.Procpool.sweep
+            (Checksum.hex_of_string ctx.Procpool.journal)
+            (Checksum.hex_of_string (Option.value ctx.Procpool.replay ~default:"-"))
+            (Checksum.hex_of_string (String.concat "\000" argv))
+            (Sys.file_exists (Filename.dirname journal))
+            (Procpool.in_worker ());
+          Printf.fprintf oc "%s\n" (input_line ctx.Procpool.cmd_in);
+          flush oc);
+        Unix._exit 0
+      | pid ->
+        Unix.close cmd_r;
+        Unix.close reply_w;
+        ignore (Transport.send_line cmd_w (Procpool.hello_line hello));
+        ignore (Transport.send_line cmd_w "RUN 7 0 6b6579");
+        Unix.close cmd_w;
+        let ic = Unix.in_channel_of_descr reply_r in
+        let lines = In_channel.input_all ic in
+        close_in ic;
+        ignore (Unix.waitpid [] pid);
+        let hex = Checksum.hex_of_string in
+        check Alcotest.string "ctx fields, journal dir, RUN line left in cmd_in"
+          (Printf.sprintf "3 2 %s %s %s true true\nRUN 7 0 6b6579\n" (hex journal)
+             (hex "/tmp/replay file.journal")
+             (hex (String.concat "\000" hello.Procpool.h_argv)))
+          lines)
+
+let bootstrap_error_cases =
+  let hello =
+    { Procpool.h_wid = 1; h_sweep = 0; h_journal = "/nonexistent/w.journal";
+      h_replay = None; h_argv = [ "perf" ] }
+  in
+  let line = Procpool.hello_line hello in
+  let with_field i v =
+    String.split_on_char ' ' line
+    |> List.mapi (fun j f -> if j = i then v else f)
+    |> String.concat " "
+  in
+  (* (name, bytes written before the test stops writing, close the pipe?) *)
+  [
+    ("EOF before any byte", "", true);
+    ("EOF mid-line", String.sub line 0 10, true);
+    ("bad version", with_field 1 "2" ^ "\n", false);
+    ("bad hex journal", with_field 4 "zz" ^ "\n", false);
+    ("bad hex argv", line ^ " 0g\n", false);
+    ("not a HELLO", "RUN 0 0 00\n", false);
+    ("silence past the deadline", "", false);
+  ]
+
+let test_bootstrap_rejects () =
+  List.iter
+    (fun (name, bytes, close) ->
+      let r, w = Unix.pipe () in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close r with Unix.Unix_error _ -> ());
+          try Unix.close w with Unix.Unix_error _ -> ())
+        (fun () ->
+          ignore (Unix.write_substring w bytes 0 (String.length bytes));
+          if close then Unix.close w;
+          let t0 = Unix.gettimeofday () in
+          match Procpool.bootstrap ~timeout:0.3 ~cmd:r ~reply:Unix.stdout () with
+          | Ok _ -> Alcotest.fail (name ^ ": accepted")
+          | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: one-line diagnostic %S" name e)
+              true
+              (e <> "" && not (String.contains e '\n'));
+            Alcotest.(check bool)
+              (name ^ ": within the deadline") true
+              (Unix.gettimeofday () -. t0 < 2.0)))
+    bootstrap_error_cases;
+  Alcotest.(check bool) "rejected HELLOs record no worker context" false
+    (Procpool.in_worker ())
 
 (* Pipe and TCP transports must yield identical arbitration: same per-cell
    outcomes (constructor and attempt counts) and same recovered values, for
@@ -782,6 +943,15 @@ let suite =
         Alcotest.test_case "torn reply line discarded" `Quick test_tcp_torn_line_discarded;
         Alcotest.test_case "handshake timeout abandons host" `Quick
           test_tcp_handshake_timeout_abandons_host;
+        Alcotest.test_case "silent client does not block the listener" `Quick
+          test_tcp_silent_client_does_not_block;
         tcp_matches_pipe_prop;
+      ] );
+    ( "procpool.hello",
+      [
+        Alcotest.test_case "valid HELLO gives the worker context" `Quick
+          test_bootstrap_valid_hello;
+        Alcotest.test_case "bad or missing HELLO is a one-line error" `Quick
+          test_bootstrap_rejects;
       ] );
   ]
