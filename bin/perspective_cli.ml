@@ -194,7 +194,7 @@ let cache_stats_arg =
     & info [ "cache-stats" ]
         ~doc:
           "After the run, print one line of result-cache counters \
-           (hits/misses/writes/evictions/corrupt_dropped) to stderr.  Requires \
+           (hits/misses/writes/write_errors/corrupt_dropped) to stderr.  Requires \
            $(b,--cache).")
 
 let workers_arg =

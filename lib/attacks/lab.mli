@@ -50,8 +50,6 @@ val warm_code : t -> asid:int -> int -> unit
 (** Warm the instruction line holding a code VA for the given address space
     (models gadget code living in a hot shared-library text page). *)
 
-val reload_cycles : t -> int -> int
-
 val hot_slots : t -> base:int -> slots:int -> int list
 (** Reload-timing sweep over [slots] 64-byte slots; returns those that hit
     (latency below the L2 threshold). *)

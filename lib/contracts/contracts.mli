@@ -77,9 +77,6 @@ type result = {
   obs_hi : obs;
 }
 
-val default_secrets : int * int
-(** [(0x2A, 0xAB)] — the two planted secret bytes. *)
-
 val check :
   ?seed:int -> ?secrets:int * int -> attack:string -> scheme:string -> unit -> result
 (** One matrix cell: run [attack] twice under [scheme] with the two planted

@@ -76,8 +76,3 @@ val note_view_changed : t -> insn_va:int -> unit
 (** A function's ISV membership changed at runtime (shrink / gadget patch):
     drop the stale ISV-cache entries and shadow-page bits for its code
     page. *)
-
-val isv_key_of_va : int -> int
-(** ISV-cache key of an instruction VA (line granularity). *)
-
-val dsv_key_of_page : int -> int

@@ -8,10 +8,9 @@ type t = {
   tbl : (int, int) Hashtbl.t; (* physical line -> label *)
   mutable fills : int;
   mutable discards : int;
-  mutable promotions : int;
 }
 
-let create ~mode ms = { mode; ms; tbl = Hashtbl.create 64; fills = 0; discards = 0; promotions = 0 }
+let create ~mode ms = { mode; ms; tbl = Hashtbl.create 64; fills = 0; discards = 0 }
 
 let mode t = t.mode
 
@@ -46,7 +45,6 @@ let promote t ~key ~asid =
   match Hashtbl.find_opt t.tbl line with
   | Some l when l = lbl ->
     Hashtbl.remove t.tbl line;
-    t.promotions <- t.promotions + 1;
     ignore (Memsys.data_read t.ms key)
   | Some _ | None -> ()
 
@@ -69,4 +67,3 @@ let squash t ~asid =
 let size t = Hashtbl.length t.tbl
 let fills t = t.fills
 let discards t = t.discards
-let promotions t = t.promotions

@@ -46,4 +46,3 @@ val squash : t -> asid:int -> unit
 val size : t -> int
 val fills : t -> int
 val discards : t -> int
-val promotions : t -> int

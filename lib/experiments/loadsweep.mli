@@ -40,16 +40,6 @@ type point = {
 val default_loads : float list
 (** [0.3; 0.5; 0.7; 0.85; 0.95; 1.1; 1.3] — straddles every scheme's knee. *)
 
-val calibration_cells :
-  ?seed:int ->
-  ?points:int ->
-  apps:Pv_workloads.Apps.app list ->
-  variants:Schemes.variant list ->
-  unit ->
-  Costmodel.t Supervise.cell list
-(** One cell per (app, variant), keyed [service-cal/<app>/<label>]; the
-    supervisor's fuel budget bounds each calibration run. *)
-
 val point_cells :
   ?seed:int ->
   ?points:int ->

@@ -20,9 +20,7 @@ val line_bytes : int
 val max_insns_per_func : int
 (** 1024. *)
 
-val user_code_base : int
 val kernel_code_base : int
-val direct_map_base : int
 val isv_page_offset : int
 (** Fixed VA offset from a kernel code page to its ISV page. *)
 
@@ -62,6 +60,3 @@ val phys_key : asid:int -> int -> int
 
 val line_of : int -> int
 (** Cache-line index of an address ([addr / 64]). *)
-
-val page_of : int -> int
-(** Page index of an address ([addr / 4096]). *)

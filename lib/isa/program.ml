@@ -56,6 +56,4 @@ let fetch t fid idx =
     let body = t.funcs.(fid).body in
     if idx < 0 || idx >= Array.length body then None else Some body.(idx)
 
-let entry_va t fid = Layout.func_base t.funcs.(fid).space fid
-
 let find_by_name t name = Array.find_opt (fun f -> f.name = name) t.funcs

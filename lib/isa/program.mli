@@ -24,9 +24,6 @@ val func : t -> int -> func
 val fetch : t -> int -> int -> Insn.t option
 (** [fetch t fid idx]; [None] past the end of the body. *)
 
-val entry_va : t -> int -> int
-(** VA of instruction 0 of a function. *)
-
 val find_by_name : t -> string -> func option
 
 val validate : t -> (unit, string) result

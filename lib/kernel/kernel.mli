@@ -63,7 +63,3 @@ val exec_syscall : t -> Process.t -> nr:int -> args:int array -> sys_effects
     and returns the register parameters for the timing run.  [args] meaning:
     read/write/send/recv: bytes; select/poll/epoll_wait: nfds;
     mmap/munmap/fork: pages. *)
-
-val installed_ops : t -> Process.t -> int -> int option
-(** The dispatch target the process's file descriptors use at a given
-    callgraph dispatch site (deterministic per cgroup). *)

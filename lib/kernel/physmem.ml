@@ -8,11 +8,6 @@ let owner_equal a b =
   | Cgroup x, Cgroup y -> x = y
   | (Kernel | Cgroup _ | Unknown), _ -> false
 
-let pp_owner ppf = function
-  | Kernel -> Format.fprintf ppf "kernel"
-  | Cgroup id -> Format.fprintf ppf "cgroup:%d" id
-  | Unknown -> Format.fprintf ppf "unknown"
-
 let max_order = 10
 
 type frame_state =
@@ -72,9 +67,7 @@ let create ~frames =
   seed 0;
   t
 
-let total_frames t = t.usable
 let free_frames t = t.free_count
-let allocated_frames t = t.usable - t.free_count
 
 let take_any tbl = Hashtbl.fold (fun k () acc -> match acc with None -> Some k | s -> s) tbl None
 
@@ -175,13 +168,3 @@ let frame_of_va va =
   match Layout.pa_of_direct_map va with
   | Some pa -> Some (pa / Layout.page_bytes)
   | None -> None
-
-let iter_allocated t f =
-  for frame = 0 to t.usable - 1 do
-    match t.state.(frame) with
-    | Alloc_head (o, owner) ->
-      for i = frame to frame + (1 lsl o) - 1 do
-        if i < t.usable then f i owner
-      done
-    | Free_head _ | Free_body | Alloc_body | Offline -> ()
-  done

@@ -23,7 +23,6 @@ val sys_fstat : int
 val sys_poll : int
 val sys_select : int
 val sys_epoll_wait : int
-val sys_epoll_ctl : int
 val sys_mmap : int
 val sys_munmap : int
 val sys_brk : int
@@ -31,11 +30,9 @@ val sys_mprotect : int
 val sys_getpid : int
 val sys_fork : int
 val sys_thread_create : int
-val sys_exit : int
 val sys_send : int
 val sys_recv : int
 val sys_accept : int
-val sys_socket : int
 val sys_page_fault : int
 (** Not a real syscall: the page-fault handler entry, modelled as a kernel
     entry point like LEBench does. *)
@@ -47,7 +44,4 @@ val sys_futex : int
 val sys_nanosleep : int
 val sys_writev : int
 val sys_sendfile : int
-val sys_ioctl : int
-val sys_fcntl : int
-val sys_getdents : int
 val sys_clock_gettime : int

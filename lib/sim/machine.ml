@@ -18,7 +18,6 @@ type handle = {
   proc : Process.t;
   build : base_fid:int -> Program.func list;
   entry_rel : int;
-  mutable base_fid : int;
   mutable entry_fid_v : int;
   mutable table_frame : int;
   tables : (int, int) Hashtbl.t; (* syscall nr -> r13 VA *)
@@ -77,7 +76,6 @@ let add_process t ~name ~user_funcs ~entry =
       proc;
       build = user_funcs;
       entry_rel = entry;
-      base_fid = -1;
       entry_fid_v = -1;
       table_frame = -1;
       tables = Hashtbl.create 8;
@@ -88,7 +86,6 @@ let add_process t ~name ~user_funcs ~entry =
 
 let process h = h.proc
 let entry_fid h = h.entry_fid_v
-let user_base_fid h = h.base_fid
 
 let frozen_exn t =
   match t.frozen with
@@ -159,7 +156,6 @@ let freeze t =
     List.concat_map
       (fun h ->
         let base = !next in
-        h.base_fid <- base;
         let funcs = h.build ~base_fid:base in
         List.iteri
           (fun i f ->

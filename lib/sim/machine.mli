@@ -42,7 +42,6 @@ val add_process :
 
 val process : handle -> Pv_kernel.Process.t
 val entry_fid : handle -> int
-val user_base_fid : handle -> int
 
 val freeze : t -> unit
 (** Build the program and pipeline; seeds per-process dispatch tables and
@@ -98,9 +97,6 @@ val check_result : name:string -> Pv_uarch.Pipeline.result -> unit
 (** [check_result ~name r] is the supervision bridge: it turns a non-[Halted]
     pipeline outcome into {!Run_timeout} / {!Run_fault} so the experiment
     layer's supervisor can classify and report it per cell. *)
-
-val seed_frame : t -> int -> unit
-(** Idempotently fill a frame with pointer-chase-friendly values. *)
 
 (** {1 Self-contained jobs}
 

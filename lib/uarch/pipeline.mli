@@ -124,8 +124,6 @@ module Pack : sig
       blocked source {!blocked_none}. *)
 
   val state_waiting : int
-  val state_issued : int
-  val state_completed : int
 
   val state : t -> int
   val with_state : t -> int -> t
@@ -155,9 +153,6 @@ module Pack : sig
   val with_kernel : t -> bool -> t
 
   val blocked_none : int
-  val blocked_isv : int
-  val blocked_dsv : int
-  val blocked_baseline : int
 
   val blocked_src : t -> int
   val with_blocked_src : t -> int -> t

@@ -24,5 +24,3 @@ val update : t -> pc:int -> hist:int -> meta -> taken:bool -> unit
 
 val lookups : t -> int
 
-val history_lengths : int array
-(** History lengths of the tagged components. *)

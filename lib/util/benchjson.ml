@@ -143,7 +143,9 @@ let parse_json s =
         | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
         | Some 'u' ->
           advance ();
-          if !pos + 4 > n then fail "bad \\u escape";
+          let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+          if !pos + 4 > n || not (String.for_all is_hex (String.sub s !pos 4)) then
+            fail "bad \\u escape";
           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
           pos := !pos + 4;
           if code < 0x80 then Buffer.add_char buf (Char.chr code)

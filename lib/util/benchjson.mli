@@ -33,8 +33,6 @@ type t = {
   agg_cps : float;  (** [total_sim_cycles /. total_wall_s] *)
 }
 
-val schema_version : int
-
 val make :
   date:string -> label:string -> scale:float -> jobs:int -> cell list -> t
 (** Build an entry; totals and aggregate cps are computed from the cells. *)

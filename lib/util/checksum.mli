@@ -1,6 +1,6 @@
 (** FNV-1a 64-bit checksums and the hex codec shared by the persistence
-    layer ({!Journal} record framing, {!Rescache} entry digests and payload
-    checksums, {!Procpool} wire encoding).
+    layer ({!Journal} record framing, {!Rescache} entry file names,
+    {!Procpool} wire encoding).
 
     FNV-1a is not cryptographic; it is an integrity check against torn
     writes, bit rot and truncation, chosen because it is tiny, allocation

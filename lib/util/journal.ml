@@ -50,55 +50,62 @@ type 'a scanned = {
   s_body : string;  (** the raw file bytes *)
 }
 
-(* Scan the whole file, verifying every frame.  Raises [Incompatible] when
-   the file is not a checksummed journal at all (wrong or missing magic on a
-   file big enough to carry one); a file shorter than the magic is treated
-   as a fully torn journal (clean prefix of zero records). *)
+(* Verify every frame of [body], the bytes of a journal called [what] in
+   diagnostics.  Raises [Incompatible] when the bytes are not a checksummed
+   journal at all (wrong or missing magic on input big enough to carry
+   one); input shorter than the magic is treated as a fully torn journal
+   (clean prefix of zero records). *)
+let scan_body ~what body : _ scanned =
+  let len = String.length body in
+  if len < magic_len then
+    (* empty, or a kill during the very first header write *)
+    { s_records = []; s_clean = 0; s_body = body }
+  else if String.sub body 0 magic_len <> magic then
+    raise
+      (Incompatible
+         (if looks_marshalled body then
+            Printf.sprintf
+              "%s uses the pre-checksum journal format (bare Marshal records); \
+               it cannot be resumed safely — delete it and re-run"
+              what
+          else Printf.sprintf "%s is not a journal (missing %S header)" what magic))
+  else begin
+    let rec go acc off =
+      if off + 12 > len then (List.rev acc, off)
+      else
+        let n = Int32.to_int (String.get_int32_le body off) in
+        if n < 0 || n > max_record || off + 12 + n > len then (List.rev acc, off)
+        else
+          let payload = String.sub body (off + 12) n in
+          if Checksum.fnv1a64 payload <> String.get_int64_le body (off + 4) then
+            (List.rev acc, off)
+          else
+            match (Marshal.from_string payload 0 : string * _) with
+            | kv -> go (kv :: acc) (off + 12 + n)
+            | exception _ ->
+              (* checksum ok but unparseable: a writer bug, not damage —
+                 still never trusted *)
+              (List.rev acc, off)
+    in
+    let records, clean = go [] magic_len in
+    { s_records = records; s_clean = clean; s_body = body }
+  end
+
+(* A missing file is an empty journal. *)
 let scan path : _ scanned =
   if not (Sys.file_exists path) then { s_records = []; s_clean = 0; s_body = "" }
-  else begin
+  else
     let body =
       let ic = open_in_bin path in
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let len = String.length body in
-    if len = 0 then { s_records = []; s_clean = 0; s_body = body }
-    else if len < magic_len then
-      (* a kill during the very first header write *)
-      { s_records = []; s_clean = 0; s_body = body }
-    else if String.sub body 0 magic_len <> magic then
-      raise
-        (Incompatible
-           (if looks_marshalled body then
-              Printf.sprintf
-                "%S uses the pre-checksum journal format (bare Marshal records); \
-                 it cannot be resumed safely — delete it and re-run"
-                path
-            else Printf.sprintf "%S is not a journal (missing %S header)" path magic))
-    else begin
-      let rec go acc off =
-        if off + 12 > len then (List.rev acc, off)
-        else
-          let n = Int32.to_int (String.get_int32_le body off) in
-          if n < 0 || n > max_record || off + 12 + n > len then (List.rev acc, off)
-          else
-            let payload = String.sub body (off + 12) n in
-            if Checksum.fnv1a64 payload <> String.get_int64_le body (off + 4) then
-              (List.rev acc, off)
-            else
-              match (Marshal.from_string payload 0 : string * _) with
-              | kv -> go (kv :: acc) (off + 12 + n)
-              | exception _ ->
-                (* checksum ok but unparseable: a writer bug, not damage —
-                   still never trusted *)
-                (List.rev acc, off)
-      in
-      let records, clean = go [] magic_len in
-      { s_records = records; s_clean = clean; s_body = body }
-    end
-  end
+    scan_body ~what:(Printf.sprintf "%S" path) body
+
+let encode ~key v = magic ^ frame ~key v
+
+let decode body = (scan_body ~what:"input" body).s_records
 
 let quarantine_path path = path ^ ".quarantine"
 

@@ -78,6 +78,20 @@ val load : string -> (string * 'a) list
 val load_table : string -> (string, 'a) Hashtbl.t
 (** {!load} into a last-wins table. *)
 
+(** {1 Journals in memory} *)
+
+val encode : key:string -> 'a -> string
+(** The bytes of a one-record journal: {!magic} followed by the frame that
+    {!append} would write for [(key, v)].  {!Rescache} stores each cache
+    entry this way. *)
+
+val decode : string -> (string * 'a) list
+(** The verified records of journal bytes already in memory, in write
+    order, under exactly the rules {!load} applies to a file: scanning stops
+    at the first short, implausible or mismatched frame, and input shorter
+    than {!magic} holds no record.  Raises {!Incompatible} on foreign
+    bytes. *)
+
 (** Pre-flight classification of a journal named as a resume source, so the
     CLI can print one diagnostic line instead of resuming from nothing (or
     surfacing an exception).  [Usable] reports both the verified record

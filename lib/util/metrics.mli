@@ -81,10 +81,6 @@ val snapshot : t -> snapshot
 
 val find : snapshot -> string -> value option
 
-(** Deterministic JSON rendering of one value (single line, no spaces
-    inside histograms). *)
-val value_to_json : value -> string
-
 (** [snapshot_to_json ~indent snap] renders the snapshot as a JSON object,
     one ["name": value] member per line, each line prefixed by [indent]
     spaces; the closing brace is indented by [indent - 2].  Keys come out

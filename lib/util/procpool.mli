@@ -86,8 +86,6 @@ type hello = {
 
 val hello_line : hello -> string
 
-val parse_hello : string -> hello option
-
 val bootstrap :
   ?timeout:float -> cmd:Unix.file_descr -> reply:Unix.file_descr -> unit ->
   (ctx * string list, string) result

@@ -2,25 +2,29 @@
 
     A cache maps a {e canonical input descriptor} — a string spelling out
     every input of a measurement (machine config knobs, seed, scheme, job
-    kind) — to the job's marshalled result, stored as one JSON envelope file
-    under a cache root.  The file name is a 64-bit FNV-1a digest (16 hex
-    chars, filename-safe) of the salted descriptor, so equal inputs collide
-    onto the same entry on every machine and for every worker count, and the
-    envelope stores the full descriptor so a digest collision degrades to a
-    miss, never to a wrong result.
+    kind) — to the job's result, stored as one entry file under a cache
+    root.  The file name is a 64-bit FNV-1a digest (16 hex chars,
+    filename-safe) of the salted descriptor, so equal inputs collide onto
+    the same [<digest>.entry] on every machine and for every worker count.
+
+    {b Entry format.} An entry is a one-record {!Journal}: the journal magic
+    and one checksummed frame whose key is the salted descriptor and whose
+    value is the result ({!Journal.encode}).  {!find} reads it back through
+    {!Journal.decode}, the same verified scan that recovers checkpoints and
+    worker journals.  Exactly one verified record under this descriptor is
+    a hit.  One record under another descriptor is a digest collision: an
+    honest miss, and the file is kept.  Anything else — a truncated,
+    bit-flipped or foreign file — is {e deleted, counted in
+    [corrupt_dropped] and recomputed, never trusted}.
 
     {b Torn-write discipline.} Entries are written to a temp file in the
     cache root and [rename]d into place, so a reader can never observe a
-    half-written entry (same discipline as the checkpoint journal's
-    truncate-on-resume).  Entries are additionally checksummed: the envelope
-    carries an FNV-1a digest of the payload bytes, and {!find} re-verifies it
-    before unmarshalling — a truncated, bit-flipped or otherwise damaged
-    entry is {e dropped and recomputed, never trusted}.
+    half-written entry.
 
     {b Cross-process claims (two-phase commit).} When several worker
     processes share one cache root, {!try_claim} arbitrates who computes a
     missing entry: the winner creates [<digest>.lease] with [O_CREAT|O_EXCL]
-    (phase one), computes, then {!store}s the payload via temp-file + atomic
+    (phase one), computes, then {!store}s the value via temp-file + atomic
     rename (phase two) and releases the lease.  Losers poll {!find} until
     the winner commits.  A lease naming a dead holder (the worker was
     killed mid-compute) is broken and re-claimed — the entry file itself is
@@ -40,10 +44,10 @@
     own misses) and results reach the coordinator via the worker-journal
     pull in {!Procpool} — never through this cache.
 
-    {b Invalidation.} The effective salt is [format_version ^ code_salt ^
-    user salt]: bump {!code_salt} whenever a cached result type or the
-    simulator's measured behaviour changes, and every stale entry becomes
-    unreachable (different file names) and unreadable (salt check).
+    {b Invalidation.} The effective salt is the entry format version, then
+    {!code_salt}, then the user salt: bump {!code_salt} whenever a cached
+    result type or the simulator's measured behaviour changes, and every
+    stale entry becomes unreachable (different file names).
 
     {b Type safety.} Values go through [Marshal] untyped, exactly like
     {!Journal}: a descriptor must determine its value type.  The experiment
@@ -57,17 +61,12 @@ val code_salt : string
 (** Bump on any change to cached result types or measured simulator
     behaviour; old cache entries then miss and are recomputed. *)
 
-val open_dir : ?salt:string -> ?max_entries:int -> string -> t
+val open_dir : ?salt:string -> string -> t
 (** [open_dir dir] opens (creating it, including parents, if needed) a cache
-    rooted at [dir].  [salt] (default [""]) composes with {!code_salt};
-    it must not contain ['"'], ['\\'] or newlines.  [max_entries] bounds the
-    number of entries: after a store that exceeds it, the oldest entries
-    are evicted — ordered by modification time with equal mtimes broken by
-    digest filename, so the eviction set is deterministic even on
-    filesystems with 1-second mtime granularity (warm-run byte-identity
-    must not depend on readdir order).  Thread-safe: one [t] may be shared
-    across pool domains, and one directory may be shared across worker
-    processes (every mutation is temp-file + rename or [O_EXCL] create). *)
+    rooted at [dir].  [salt] (default [""]) composes with {!code_salt}.
+    Thread-safe: one [t] may be shared across pool domains, and one
+    directory may be shared across worker processes (every mutation is
+    temp-file + rename or [O_EXCL] create). *)
 
 val dir : t -> string
 
@@ -77,8 +76,8 @@ val digest_hex : string -> string
 
 val find : t -> key:string -> 'a option
 (** Look up the entry for canonical descriptor [key].  [None] on a miss, on
-    a salt/version mismatch, and on any corrupt entry (which is deleted and
-    counted in [corrupt_dropped]).  The value must be read at the type it
+    a digest collision, and on any corrupt entry (which is deleted and
+    counted in [corrupt_dropped]).  Never raises.  The value must be read at the type it
     was stored with (see the type-safety note above). *)
 
 val store : t -> key:string -> 'a -> unit
@@ -125,21 +124,15 @@ type stats = {
   misses : int;
   writes : int;
   write_errors : int;  (** failed {!store} attempts (I/O errors, swallowed) *)
-  evictions : int;
-  corrupt_dropped : int;  (** corrupt or version-mismatched entries deleted *)
+  corrupt_dropped : int;  (** damaged or foreign entry files deleted *)
 }
 
 val stats : t -> stats
 
-val observe_metrics : Metrics.t -> prefix:string -> t -> unit
-(** Register [<prefix>.hits], [<prefix>.misses], [<prefix>.writes],
-    [<prefix>.write_errors], [<prefix>.evictions] and
-    [<prefix>.corrupt_dropped].  Cache counters are run provenance (a warm
-    run hits where a cold run missed), so they are reported on stderr via
-    [--cache-stats] and never land in the [--metrics] export, which must
-    stay byte-identical between cold and warm runs. *)
-
 val report : ?out:out_channel -> t -> unit
 (** One-line [rescache: hits=... misses=... writes=... write_errors=...
-    evictions=... corrupt_dropped=... dir=...] summary (the [--cache-stats]
-    output, default [stderr]). *)
+    corrupt_dropped=... dir=...] summary (the [--cache-stats] output,
+    default [stderr]).  Cache counters are run provenance (a warm run hits
+    where a cold run missed), so they are reported here and never land in
+    the [--metrics] export, which must stay byte-identical between cold and
+    warm runs. *)

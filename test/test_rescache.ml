@@ -9,6 +9,7 @@ module Perf_report = Pv_experiments.Perf_report
 module Schemes = Pv_experiments.Schemes
 module Loadsweep = Pv_experiments.Loadsweep
 module Journal = Pv_util.Journal
+module Checksum = Pv_util.Checksum
 module Tab = Pv_util.Tab
 module Apps = Pv_workloads.Apps
 module Lebench = Pv_workloads.Lebench
@@ -34,7 +35,7 @@ let with_cache_dir f =
 
 let entries dir =
   Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.filter (fun f -> Filename.check_suffix f ".entry")
   |> List.sort compare
 
 (* --- the digest --------------------------------------------------------- *)
@@ -89,48 +90,6 @@ let test_salt_invalidation () =
       check Alcotest.(option int) "original salt still hits" (Some 1)
         (Rescache.find a2 ~key:"k"))
 
-let test_eviction_bounds_entries () =
-  with_cache_dir (fun dir ->
-      let c = Rescache.open_dir ~max_entries:2 dir in
-      Rescache.store c ~key:"k1" 1;
-      Rescache.store c ~key:"k2" 2;
-      Rescache.store c ~key:"k3" 3;
-      check Alcotest.int "bounded to max_entries" 2 (List.length (entries dir));
-      check Alcotest.int "one eviction counted" 1 (Rescache.stats c).Rescache.evictions)
-
-let test_eviction_equal_mtime_deterministic () =
-  (* On a 1-second-granularity filesystem every entry of a fast run carries
-     the same mtime, so the victim set must fall back to the digest
-     filename — never readdir order.  Force the tie with utimes and check
-     the survivors are exactly the lexicographically-largest names. *)
-  with_cache_dir (fun dir ->
-      let big = Rescache.open_dir dir in
-      let keys = [ "k1"; "k2"; "k3"; "k4" ] in
-      List.iter (fun k -> Rescache.store big ~key:k 0) keys;
-      let old = Unix.time () -. 1000.0 in
-      List.iter
-        (fun f -> Unix.utimes (Filename.concat dir f) old old)
-        (entries dir);
-      let tied = List.sort compare (entries dir) in
-      check Alcotest.int "four tied entries" 4 (List.length tied);
-      (* a fifth store through a bounded handle must evict the three
-         smallest-named tied entries: the new entry is newer, and the
-         largest tied name wins the in-tie comparison *)
-      let c = Rescache.open_dir ~max_entries:2 dir in
-      Rescache.store c ~key:"k5" 0;
-      let survivors = entries dir in
-      check Alcotest.int "bounded to max_entries" 2 (List.length survivors);
-      check Alcotest.int "three evictions counted" 3 (Rescache.stats c).Rescache.evictions;
-      Alcotest.(check bool) "largest tied name survives" true
-        (List.mem (List.nth tied 3) survivors);
-      List.iteri
-        (fun i f ->
-          if i < 3 then
-            Alcotest.(check bool)
-              (Printf.sprintf "tied entry %d evicted" i)
-              false (List.mem f survivors))
-        tied)
-
 (* --- corruption recovery ------------------------------------------------ *)
 
 let only_entry dir =
@@ -161,18 +120,11 @@ let test_bitflipped_entry_recomputed () =
       Rescache.store c ~key:"k" 99;
       let file = only_entry dir in
       let body = In_channel.with_open_bin file In_channel.input_all in
-      (* flip one nibble of the hex payload: the checksum must catch it *)
-      let marker = "\"payload_hex\": \"" in
-      let rec find i =
-        if i + String.length marker > String.length body then
-          Alcotest.fail "payload_hex field not found"
-        else if String.sub body i (String.length marker) = marker then
-          i + String.length marker
-        else find (i + 1)
-      in
-      let pos = find 0 in
+      (* flip one bit of the frame's Marshal payload (past the magic and the
+         12-byte length + checksum header): the checksum must catch it *)
+      let pos = String.length Journal.magic + 12 + 1 in
       let flipped = Bytes.of_string body in
-      Bytes.set flipped pos (if Bytes.get flipped pos = '0' then '1' else '0');
+      Bytes.set flipped pos (Char.chr (Char.code (Bytes.get flipped pos) lxor 1));
       Out_channel.with_open_bin file (fun ch ->
           Out_channel.output_bytes ch flipped);
       check Alcotest.(option int) "bit-flipped entry is a miss, not a wrong value" None
@@ -180,6 +132,103 @@ let test_bitflipped_entry_recomputed () =
       check Alcotest.int "counted as corrupt" 1 (Rescache.stats c).Rescache.corrupt_dropped;
       Rescache.store c ~key:"k" 99;
       check Alcotest.(option int) "recomputed entry hits" (Some 99) (Rescache.find c ~key:"k"))
+
+let test_digest_collision_kept () =
+  (* Key A's entry at key B's path stands in for two descriptors whose
+     digests collide: B misses honestly and the file, which may be A's
+     live entry, is neither deleted nor counted as corrupt. *)
+  with_cache_dir (fun dir ->
+      let c = Rescache.open_dir dir in
+      Rescache.store c ~key:"A" 1;
+      let a_file = only_entry dir in
+      Rescache.store c ~key:"B" 2;
+      let b_file =
+        match List.filter (fun f -> Filename.concat dir f <> a_file) (entries dir) with
+        | [ f ] -> Filename.concat dir f
+        | _ -> Alcotest.fail "expected a second entry for key B"
+      in
+      let a_body = In_channel.with_open_bin a_file In_channel.input_all in
+      Out_channel.with_open_bin b_file (fun ch -> Out_channel.output_string ch a_body);
+      check Alcotest.(option int) "colliding entry is a miss" None (Rescache.find c ~key:"B");
+      check Alcotest.int "not counted as corrupt" 0 (Rescache.stats c).Rescache.corrupt_dropped;
+      check Alcotest.string "file kept untouched" a_body
+        (In_channel.with_open_bin b_file In_channel.input_all);
+      check Alcotest.(option int) "key A still hits" (Some 1) (Rescache.find c ~key:"A"))
+
+(* A pre-format-2 entry: the JSON envelope with a hex-encoded payload. *)
+let legacy_envelope ~key v =
+  let payload = Marshal.to_string v [] in
+  Printf.sprintf
+    "{\n  \"rescache_version\": 1,\n  \"salt\": \"v1|%s|\",\n  \"key\": \"%s\",\n\
+    \  \"key_hex\": \"%s\",\n  \"payload_digest\": \"%s\",\n  \"payload_hex\": \"%s\"\n}\n"
+    Rescache.code_salt key (Checksum.hex_of_string key) (Checksum.digest_hex payload)
+    (Checksum.hex_of_string payload)
+
+type damage =
+  | Truncate of int
+  | Flip of int * int
+  | Append of string
+  | Replace of string
+  | Legacy
+
+let show_damage = function
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Flip (i, x) -> Printf.sprintf "flip byte %d ^ %d" i x
+  | Append s -> Printf.sprintf "append %S" s
+  | Replace s -> Printf.sprintf "replace with %S" s
+  | Legacy -> "pre-format-2 JSON envelope"
+
+let test_hostile_entry_property =
+  (* Whatever happens to an entry file, find returns the stored value or
+     misses — never a wrong value, never an exception — and a file it
+     rejects is deleted and counted.  Junk after the one verified frame is
+     ignored like a journal's torn tail, so an append still hits. *)
+  let damage =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> Truncate n) nat;
+          map2 (fun i x -> Flip (i, x)) nat (int_range 1 255);
+          map (fun s -> Append s) (string_size (int_range 1 64));
+          map (fun s -> Replace s) (string_size (int_range 0 128));
+          return Legacy;
+        ])
+  in
+  let arb =
+    QCheck.make
+      QCheck.Gen.(pair (pair small_nat (string_size (int_range 0 40))) damage)
+      ~print:(fun ((n, s), d) -> Printf.sprintf "value (%d, %S), %s" n s (show_damage d))
+  in
+  let prop (v, d) =
+    with_cache_dir (fun dir ->
+        Rescache.store (Rescache.open_dir dir) ~key:"k" v;
+        let file = only_entry dir in
+        let body = In_channel.with_open_bin file In_channel.input_all in
+        let len = String.length body in
+        let damaged =
+          match d with
+          | Truncate n -> String.sub body 0 (n mod len)
+          | Flip (i, x) ->
+              let b = Bytes.of_string body in
+              let i = i mod len in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+              Bytes.to_string b
+          | Append junk -> body ^ junk
+          | Replace junk -> junk
+          | Legacy -> legacy_envelope ~key:"k" v
+        in
+        Out_channel.with_open_bin file (fun ch -> Out_channel.output_string ch damaged);
+        let c = Rescache.open_dir dir in
+        let found : (int * string) option = Rescache.find c ~key:"k" in
+        let dropped = (Rescache.stats c).Rescache.corrupt_dropped in
+        match (d, found) with
+        | Append _, Some v' -> v' = v && dropped = 0 && Sys.file_exists file
+        | (Truncate _ | Flip _ | Replace _ | Legacy), None ->
+            dropped = 1 && not (Sys.file_exists file)
+        | _ -> false)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"damaged entry: exact hit or dropped miss" ~count:300 arb prop)
 
 (* --- supervised sweeps: dedup, CACHED, journaling ----------------------- *)
 
@@ -360,15 +409,14 @@ let suite =
         Alcotest.test_case "store/find round-trip" `Quick test_roundtrip;
         Alcotest.test_case "store replaces" `Quick test_store_replaces;
         Alcotest.test_case "salt invalidation" `Quick test_salt_invalidation;
-        Alcotest.test_case "eviction bounds entries" `Quick test_eviction_bounds_entries;
-        Alcotest.test_case "equal-mtime eviction is deterministic" `Quick
-          test_eviction_equal_mtime_deterministic;
       ] );
     ( "rescache.corruption",
       [
         Alcotest.test_case "truncated entry recomputed" `Quick test_truncated_entry_recomputed;
         Alcotest.test_case "bit-flipped entry recomputed" `Quick
           test_bitflipped_entry_recomputed;
+        Alcotest.test_case "digest collision is kept" `Quick test_digest_collision_kept;
+        test_hostile_entry_property;
       ] );
     ( "rescache.supervise",
       [

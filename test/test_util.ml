@@ -7,6 +7,7 @@ module Bitset = Pv_util.Bitset
 module Tab = Pv_util.Tab
 module Metrics = Pv_util.Metrics
 module Transport = Pv_util.Transport
+module Benchjson = Pv_util.Benchjson
 
 let check = Alcotest.check
 
@@ -723,6 +724,40 @@ let test_transport_hostspecs_list () =
   | Ok _ -> Alcotest.fail "parse_hostspecs accepted a bad item"
   | Error _ -> ()
 
+(* --- Benchjson ------------------------------------------------------------ *)
+
+let test_benchjson_bad_unicode_escape () =
+  (* A \u escape needs four hex digits; anything else is a parse error, not
+     an exception out of int_of_string. *)
+  List.iter
+    (fun text ->
+      match Benchjson.parse text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S parsed" text
+      | exception e -> Alcotest.failf "%S raised %s" text (Printexc.to_string e))
+    [ {|{"date": "\uzzzz"}|}; {|{"date": "\u12"}|}; {|{"date": "\u1_2_"}|}; {|"\u00"|} ]
+
+let test_benchjson_latest_skips_malformed () =
+  let dir = Filename.temp_file "pv_benchjson" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path name = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let cell =
+        Benchjson.cell ~workload:"read" ~scheme:"UNSAFE" ~sim_cycles:10 ~committed:5 ~wall_s:1.0
+      in
+      Benchjson.write ~path:(path "BENCH_2026-01-01.json")
+        (Benchjson.make ~date:"2026-01-01" ~label:"cycles" ~scale:0.5 ~jobs:1 [ cell ]);
+      Out_channel.with_open_bin (path "BENCH_2026-01-02.json") (fun oc ->
+          Out_channel.output_string oc {|{"label": "\uzz"}|});
+      check Alcotest.(option string) "newest parsable entry of the label"
+        (Some (path "BENCH_2026-01-01.json"))
+        (Benchjson.latest_in ~dir ~label:"cycles" ()))
+
 let suite =
   [
     ( "util.rng",
@@ -807,5 +842,11 @@ let suite =
         Alcotest.test_case "hostspec KATs" `Quick test_transport_hostspec_ok;
         Alcotest.test_case "hostspec rejects" `Quick test_transport_hostspec_errors;
         Alcotest.test_case "hostspec lists" `Quick test_transport_hostspecs_list;
+      ] );
+    ( "util.benchjson",
+      [
+        Alcotest.test_case "bad \\u escape is an Error" `Quick test_benchjson_bad_unicode_escape;
+        Alcotest.test_case "latest_in skips malformed" `Quick
+          test_benchjson_latest_skips_malformed;
       ] );
   ]
