@@ -293,8 +293,10 @@ let blocked_code_of_source = function
 
 (* ROB entries are preallocated once per pipeline and reused in place: the
    cycle loop never allocates one.  All scalar fields are mutable ints (the
-   packed [flags] word holds the booleans); only the squash snapshots
-   ([stack_snap], [tage_meta]) and the rare [fault] remain boxed. *)
+   packed [flags] word holds the booleans); the predictor metadata record
+   and the waiter array are allocated on first need and reused with the
+   entry, and only the [stack_snap] squash snapshot and the rare [fault] are
+   replaced. *)
 type entry = {
   mutable seq : int;
   mutable e_fid : int;
@@ -309,30 +311,31 @@ type entry = {
   mutable src_val0 : int;
   mutable src_val1 : int;
   mutable flags : Pack.t;
+  (* Once Issued: the cycle whose completion step completes this entry. *)
   mutable done_at : int;
   mutable value : int;
   mutable eff_addr : int;
   mutable store_val : int;
   mutable pred_target_va : int; (* -1 when fetch stalled on this entry *)
   mutable actual_target_va : int;
-  mutable tage_meta : Tage.meta option;
+  (* This slot's own predictor record, allocated when the slot first holds
+     a branch ([no_meta] until then) and valid while it holds one. *)
+  mutable tage_meta : Tage.meta;
   mutable ghr_snap : int;
   mutable stack_snap : int list;
   mutable depth_snap : int;
   mutable ret_target : int;
   mutable ret_depth : int;
   mutable taint_root : int;
-  (* Dataflow parking: the value of [t.wake_epoch] at the last issue attempt
-     that failed purely on unavailable operands (-1 = not parked).  While the
-     stamp still matches, re-attempting is provably a no-op — a failed
-     operand capture has no side effects and its outcome can only change
-     when some entry completes — so the scan skips the whole dispatch. *)
-  mutable park_stamp : int;
-  (* Sharper parking for operand waits: the seq of the producer the failed
-     capture short-circuited on (-1 = none).  The dispatch attempt is skipped
-     with a single state test until that producer completes or retires, so an
-     unrelated completion does not wake the whole ROB. *)
-  mutable park_seq : int;
+  (* Seq of the entry this one sleeps on (-1 = awake): the producer of an
+     operand, or for a load the store whose unknown address holds it back.
+     A sleeping entry is off the actionable list and on that entry's
+     [waiters]. *)
+  mutable sleep_on : int;
+  (* Seqs of the entries sleeping on this one; stale seqs (squashed or
+     reused sleepers) are filtered when the list is drained. *)
+  mutable waiters : int array;
+  mutable n_waiters : int;
   mutable fault : string option;
 }
 
@@ -369,6 +372,51 @@ type event = { ev_cycle : int; ev_kind : event_kind; ev_va : int; ev_seq : int }
 
 let dummy_event = { ev_cycle = 0; ev_kind = Ev_squash; ev_va = 0; ev_seq = -1 }
 
+(* A sorted set of in-flight seqs, bounded by the ROB size. *)
+module Seqset = struct
+  type t = { a : int array; mutable len : int }
+
+  let create n = { a = Array.make (max 1 n) 0; len = 0 }
+  let min s = if s.len > 0 then Array.unsafe_get s.a 0 else max_int
+
+  let add s x =
+    let i = ref s.len in
+    while !i > 0 && s.a.(!i - 1) > x do
+      s.a.(!i) <- s.a.(!i - 1);
+      decr i
+    done;
+    s.a.(!i) <- x;
+    s.len <- s.len + 1
+
+  (* The largest element below [x], or -1. *)
+  let pred s x =
+    let i = ref (s.len - 1) in
+    while !i >= 0 && s.a.(!i) >= x do decr i done;
+    if !i >= 0 then s.a.(!i) else -1
+
+  let drop_prefix s n =
+    if n > 0 then begin
+      Array.blit s.a n s.a 0 (s.len - n);
+      s.len <- s.len - n
+    end
+
+  let remove s x =
+    let i = ref 0 in
+    while !i < s.len && s.a.(!i) <> x do incr i done;
+    if !i < s.len then begin
+      Array.blit s.a (!i + 1) s.a !i (s.len - !i - 1);
+      s.len <- s.len - 1
+    end
+
+  (* Drop every seq >= [x]: a squash removes a suffix of the seq space. *)
+  let truncate s x = while s.len > 0 && s.a.(s.len - 1) >= x do s.len <- s.len - 1 done
+end
+
+(* One function's pre-decoded fetch table, built on its first fetch. *)
+type fdec = { body : Insn.t array; words : int array; base_va : int }
+
+let no_fdec = { body = [||]; words = [||]; base_va = 0 }
+
 type t = {
   cfg : config;
   memsys : Memsys.t;
@@ -378,8 +426,9 @@ type t = {
   ras : Ras.t;
   ctrs : counters;
   mutable guard : Guard.t;
+  dec : fdec array; (* by fid; [no_fdec] until first fetched *)
   (* run state *)
-  rob : entry array; (* preallocated pool; head/count delimit the live window *)
+  rob : entry array; (* preallocated pool; seq s lives in slot s mod capacity *)
   retired_seq : int array;
   retired_val : int array;
   arf : int array;
@@ -403,27 +452,48 @@ type t = {
   mutable commit_depth : int;
   mutable lq_used : int;
   mutable sq_used : int;
-  (* Lower bound on the earliest [done_at] of any Issued entry: the
-     completion scan runs only when a completion can actually be due, so a
-     long-latency stall (DRAM, fence) costs no per-cycle ROB walks. *)
-  mutable next_done_at : int;
-  (* Issue-scan elision bookkeeping (see [issue_step]): the whole pass is
-     skipped when every Waiting entry is parked under the current completion
-     epoch, no load is awaiting its visibility-point transition, and no
-     guard-blocked load needs its per-cycle re-query. *)
-  mutable wake_epoch : int; (* bumped on completion, store issue, store retire *)
+  (* Completion wheel: bucket [c land wheel_mask] holds the seqs of entries
+     completing at cycle c, for c within the wheel's horizon of [now];
+     later completions wait in the [far_*] overflow until their cycle.
+     Buckets are allocated on first use and may hold stale seqs (squashed or
+     reused entries), which the drain skips. *)
+  wheel : int array array;
+  wheel_len : int array;
+  wheel_mask : int;
+  mutable far_seq : int array;
+  mutable far_at : int array;
+  mutable far_len : int;
+  mutable far_min : int;
   (* Actionable list: seqs (strictly increasing) of the entries the issue
-     scan still needs to visit — Waiting entries, in-flight stores (they
-     feed store-to-load forwarding until retirement), unresolved controls,
-     incomplete fences and loads short of their visibility point.  Entries
-     are appended at dispatch and dropped lazily once no future visit can
-     matter, so the scan walks this list instead of the whole ROB. *)
-  act : int array;
+     walk still needs to visit — awake Waiting entries, in-flight stores
+     (they feed store-to-load forwarding until retirement) and incomplete
+     fences.  Entries are appended at dispatch unless they go straight to
+     sleep, leave when they issue or go to sleep, rejoin through [woken]
+     and are otherwise dropped lazily, so the walk never visits the whole
+     ROB.  Each pass writes the surviving list into [act_spare] and swaps
+     the two. *)
+  mutable act : int array;
+  mutable act_spare : int array;
   mutable act_len : int;
-  mutable waiting_count : int; (* entries in state Waiting *)
-  mutable parked_current : int; (* Waiting entries parked at this epoch *)
-  mutable vp_pending : int; (* issued/completed loads without vp_done *)
-  mutable blocked_waiting : int; (* Waiting loads parked by the guard *)
+  (* Woken seqs not yet back on the actionable list: the walk merges them
+     in seq order, including those a store issue wakes mid-pass. *)
+  woken : Seqset.t;
+  (* The walk's prefix conditions as sorted sets, exact for every entry
+     whether listed or asleep: unresolved controls (dispatch to
+     completion) make younger entries speculative, stores of unknown
+     address (dispatch to issue) hold younger loads back. *)
+  ctrls : Seqset.t;
+  ustores : Seqset.t;
+  (* Issued loads short of their visibility point, reached by the walk in
+     seq order once no older control is unresolved; loads issued by the
+     current pass wait in [vp_new] and join at its end. *)
+  vp_loads : Seqset.t;
+  mutable vp_next : int;
+  vp_new : int array;
+  mutable vp_new_len : int;
+  (* False once a pass changed nothing; set again by a completion, commit,
+     dispatch or squash, the only events that can change a pass's outcome. *)
+  mutable issue_dirty : bool;
   mutable now : int;
   mutable asid : int;
   mutable kernel_mode : bool;
@@ -434,6 +504,8 @@ type t = {
   trace_buf : event array;
   mutable trace_count : int;
 }
+
+let no_meta = Tage.meta_create ()
 
 let fresh_entry () =
   {
@@ -454,20 +526,36 @@ let fresh_entry () =
     store_val = 0;
     pred_target_va = -1;
     actual_target_va = -1;
-    tage_meta = None;
+    tage_meta = no_meta;
     ghr_snap = 0;
     stack_snap = [];
     depth_snap = 0;
     ret_target = -1;
     ret_depth = 0;
     taint_root = -1;
-    park_stamp = -1;
-    park_seq = -1;
+    sleep_on = -1;
+    waiters = [||];
+    n_waiters = 0;
     fault = None;
   }
 
+(* The wheel spans the longest latency the memory system and the branch
+   unit can produce (a DRAM round trip on the default config), capped at
+   256 buckets; a longer completion (a guard's [spec_read] latency, or a
+   slower configured DRAM) takes the overflow path. *)
+let wheel_size memsys cfg =
+  let horizon =
+    max cfg.branch_latency
+      (Cache.latency (Memsys.l1d memsys)
+      + Cache.latency (Memsys.l2 memsys)
+      + Memsys.dram_latency memsys)
+  in
+  let rec go n = if n > horizon || n >= 256 then n else go (2 * n) in
+  go 2
+
 let create ?(config = default_config) memsys prog =
   let cap = config.rob_entries in
+  let wheel = wheel_size memsys config in
   {
     cfg = config;
     memsys;
@@ -477,6 +565,7 @@ let create ?(config = default_config) memsys prog =
     ras = Ras.create ~entries:config.ras_entries ();
     ctrs = zero_counters ();
     guard = Guard.allow_all;
+    dec = Array.make (Program.length prog) no_fdec;
     rob = Array.init cap (fun _ -> fresh_entry ());
     retired_seq = Array.make cap (-1);
     retired_val = Array.make cap 0;
@@ -498,14 +587,24 @@ let create ?(config = default_config) memsys prog =
     commit_depth = 0;
     lq_used = 0;
     sq_used = 0;
-    next_done_at = max_int;
-    wake_epoch = 0;
-    act = Array.make (2 * cap) 0;
+    wheel = Array.make wheel [||];
+    wheel_len = Array.make wheel 0;
+    wheel_mask = wheel - 1;
+    far_seq = [||];
+    far_at = [||];
+    far_len = 0;
+    far_min = max_int;
+    act = Array.make (3 * cap) 0;
+    act_spare = Array.make (3 * cap) 0;
     act_len = 0;
-    waiting_count = 0;
-    parked_current = 0;
-    vp_pending = 0;
-    blocked_waiting = 0;
+    woken = Seqset.create cap;
+    ctrls = Seqset.create cap;
+    ustores = Seqset.create cap;
+    vp_loads = Seqset.create cap;
+    vp_next = 0;
+    vp_new = Array.make (max 1 config.issue_width) 0;
+    vp_new_len = 0;
+    issue_dirty = true;
     now = 0;
     asid = 0;
     kernel_mode = false;
@@ -598,19 +697,17 @@ let root_active t root =
       let e = entry_at t pos in
       e.seq = root && not (Pack.vp_done e.flags)
 
-(* Whether an entry still needs issue-scan visits.  False is final: an
-   issued non-load (other than stores, unresolved controls and incomplete
-   fences) and a load past its visibility point can never matter to a later
-   pass, so it can leave the actionable list for good. *)
+(* Whether an entry still needs issue-walk visits.  False is final: an
+   issued entry other than a store or an incomplete fence never matters to
+   a later pass (loads reach their visibility point through [vp_loads]). *)
 let act_keep fl =
   Pack.state fl = Pack.state_waiting
-  || (Pack.is_load fl && not (Pack.vp_done fl))
   || Pack.is_store fl
-  || (Pack.is_ctrl fl && not (Pack.resolved fl))
   || (Pack.is_fence fl && Pack.state fl <> Pack.state_completed)
 
 (* Squeeze retired and drop-safe seqs out of the actionable list; called when
-   an append finds the array full (the live subset always fits). *)
+   an append finds it at twice the ROB size (the live subset always fits,
+   with room for every woken entry). *)
 let compact_act t =
   let out = ref 0 in
   for k = 0 to t.act_len - 1 do
@@ -622,6 +719,47 @@ let compact_act t =
     end
   done;
   t.act_len <- !out
+
+(* A copy of the first [n] elements of a full array, with room to grow. *)
+let grown a n =
+  let a' = Array.make (max 8 (2 * n)) 0 in
+  Array.blit a 0 a' 0 n;
+  a'
+
+(* Insertion sort of [a.(0 .. n-1)]: buckets and wake lists are short and
+   nearly sorted. *)
+let sort_prefix a n =
+  for i = 1 to n - 1 do
+    let x = Array.unsafe_get a i in
+    let j = ref (i - 1) in
+    while !j >= 0 && Array.unsafe_get a !j > x do
+      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+      decr j
+    done;
+    Array.unsafe_set a (!j + 1) x
+  done
+
+(* Put [e] to sleep on the in-flight entry [p]: off the actionable list and
+   onto [p]'s waiters until [p] completes (an operand producer) or issues (a
+   store of unknown address).  The attempt that failed had no side effects
+   and can succeed only after that event: a producer retires only after
+   completing, a store's address is known only once it issues, and a
+   squashed [p] takes its younger sleepers with it.  The woken entry simply
+   re-attempts, so a second pending condition puts it back to sleep. *)
+let sleep_on t e p =
+  let pr = entry_at t (pos_of_seq t p) in
+  e.sleep_on <- p;
+  if pr.n_waiters = Array.length pr.waiters then
+    pr.waiters <- grown pr.waiters pr.n_waiters;
+  pr.waiters.(pr.n_waiters) <- e.seq;
+  pr.n_waiters <- pr.n_waiters + 1
+
+(* Sleep on the producer a failed operand capture stopped at. *)
+let sleep t e = sleep_on t e (if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1)
+
+(* ------------------------------------------------------------------ *)
+(* Pre-decoded fetch                                                    *)
+(* ------------------------------------------------------------------ *)
 
 let src_info insn =
   (* (dest, src0, src1) register indices, -1 when absent. *)
@@ -638,11 +776,49 @@ let src_info insn =
   | Insn.Icall r -> (-1, r, -1)
   | Insn.Flush (ra, _) -> (-1, ra, -1)
 
-(* Reinitialize the pool entry at the ROB tail — the allocation-free
-   equivalent of the seed model's fresh record per fetched instruction.
-   [va] is the already-computed VA of (fid, idx). *)
-let make_entry t fid idx ~va insn =
+(* One instruction's fetch word: its static Pack flags (kernel and the
+   instruction class) in the low [Pack.bits] bits, then dest, src0 and src1
+   register + 1 (0 = none) in 5-bit fields. *)
+let predecode ~kernel insn =
   let dest, s0, s1 = src_info insn in
+  let f = Pack.with_kernel Pack.empty kernel in
+  let f =
+    match insn with
+    | Insn.Branch _ | Insn.Icall _ | Insn.Ret -> Pack.with_is_ctrl f true
+    | Insn.Load _ -> Pack.with_is_load f true
+    | Insn.Store _ -> Pack.with_is_store f true
+    | Insn.Fence -> Pack.with_is_fence f true
+    | _ -> f
+  in
+  f
+  lor ((dest + 1) lsl Pack.bits)
+  lor ((s0 + 1) lsl (Pack.bits + 5))
+  lor ((s1 + 1) lsl (Pack.bits + 10))
+
+let word_flags w = w land ((1 lsl Pack.bits) - 1)
+let word_reg w k = ((w lsr (Pack.bits + (5 * k))) land 31) - 1
+
+let fdec t fid =
+  let d = t.dec.(fid) in
+  if d != no_fdec then d
+  else begin
+    let f = Program.func t.prog fid in
+    let kernel = f.Program.space = Layout.Kernel in
+    let d =
+      {
+        body = f.Program.body;
+        words = Array.map (predecode ~kernel) f.Program.body;
+        base_va = Layout.insn_va f.Program.space fid 0;
+      }
+    in
+    t.dec.(fid) <- d;
+    d
+  end
+
+(* Reinitialize the pool entry at the ROB tail from a fetch word — the
+   allocation-free equivalent of the seed model's fresh record per fetched
+   instruction. *)
+let make_entry t fid idx ~va insn w =
   let e = entry_at t t.count in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -650,78 +826,55 @@ let make_entry t fid idx ~va insn =
   e.e_fid <- fid;
   e.e_idx <- idx;
   e.va <- va;
-  e.insn <- insn;
+  (* Boxed fields are written only when they change: each write is a
+     write barrier. *)
+  if e.insn != insn then e.insn <- insn;
+  let dest = word_reg w 0 in
   e.dest <- dest;
-  (if s0 >= 0 then begin
-     let p = t.rat.(s0) in
-     if p >= 0 then begin
-       e.src_seq0 <- p;
-       e.src_val0 <- 0
-     end
-     else begin
-       e.src_seq0 <- -1;
-       e.src_val0 <- t.arf.(s0)
-     end
-   end
-   else begin
-     e.src_seq0 <- -1;
-     e.src_val0 <- 0
-   end);
-  (if s1 >= 0 then begin
-     let p = t.rat.(s1) in
-     if p >= 0 then begin
-       e.src_seq1 <- p;
-       e.src_val1 <- 0
-     end
-     else begin
-       e.src_seq1 <- -1;
-       e.src_val1 <- t.arf.(s1)
-     end
-   end
-   else begin
-     e.src_seq1 <- -1;
-     e.src_val1 <- 0
-   end);
-  e.flags <-
-    (let f =
-       Pack.with_kernel
-         (Pack.with_is_ctrl Pack.empty
-            (match insn with
-            | Insn.Branch _ | Insn.Icall _ | Insn.Ret -> true
-            | _ -> false))
-         (is_kernel_fid t fid)
-     in
-     match insn with
-     | Insn.Load _ -> Pack.with_is_load f true
-     | Insn.Store _ -> Pack.with_is_store f true
-     | Insn.Fence -> Pack.with_is_fence f true
-     | _ -> f);
+  (let s0 = word_reg w 1 in
+   let p = if s0 >= 0 then t.rat.(s0) else -1 in
+   e.src_seq0 <- p;
+   e.src_val0 <- (if s0 >= 0 && p < 0 then t.arf.(s0) else 0));
+  (let s1 = word_reg w 2 in
+   let p = if s1 >= 0 then t.rat.(s1) else -1 in
+   e.src_seq1 <- p;
+   e.src_val1 <- (if s1 >= 0 && p < 0 then t.arf.(s1) else 0));
+  e.flags <- word_flags w;
   e.done_at <- 0;
   e.value <- 0;
   e.eff_addr <- 0;
   e.store_val <- 0;
   e.pred_target_va <- -1;
   e.actual_target_va <- -1;
-  e.tage_meta <- None;
   e.ghr_snap <- 0;
-  e.stack_snap <- [];
+  if e.stack_snap <> [] then e.stack_snap <- [];
   e.depth_snap <- 0;
   e.ret_target <- -1;
   e.ret_depth <- 0;
   e.taint_root <- -1;
-  e.park_stamp <- -1;
-  e.park_seq <- -1;
-  e.fault <- None;
+  e.sleep_on <- -1;
+  e.n_waiters <- 0;
+  if Option.is_some e.fault then e.fault <- None;
   if dest >= 0 then t.rat.(dest) <- seq;
   t.count <- t.count + 1;
-  t.waiting_count <- t.waiting_count + 1;
-  if t.act_len >= Array.length t.act then compact_act t;
-  t.act.(t.act_len) <- seq;
-  t.act_len <- t.act_len + 1;
-  (match insn with
-  | Insn.Load _ -> t.lq_used <- t.lq_used + 1
-  | Insn.Store _ -> t.sq_used <- t.sq_used + 1
-  | _ -> ());
+  (let p = e.src_seq0 in
+   if p >= 0 && Pack.state (entry_at t (pos_of_seq t p)).flags <> Pack.state_completed
+   then
+     (* Its first dispatch attempt would fail on this operand and put it to
+        sleep on [p]: do that now instead. *)
+     sleep_on t e p
+   else begin
+     if t.act_len >= 2 * cap t then compact_act t;
+     t.act.(t.act_len) <- seq;
+     t.act_len <- t.act_len + 1
+   end);
+  if Pack.is_ctrl w then Seqset.add t.ctrls seq
+  else if Pack.is_load w then t.lq_used <- t.lq_used + 1
+  else if Pack.is_store w then begin
+    t.sq_used <- t.sq_used + 1;
+    Seqset.add t.ustores seq
+  end;
+  t.issue_dirty <- true;
   e
 
 let rebuild_rat t =
@@ -734,29 +887,23 @@ let rebuild_rat t =
 (* Remove all entries younger than position [pos] (exclusive). *)
 let truncate_rob t pos =
   for i = pos + 1 to t.count - 1 do
-    let e = entry_at t i in
-    let fl = e.flags in
-    (match e.insn with
-    | Insn.Load _ -> t.lq_used <- t.lq_used - 1
-    | Insn.Store _ -> t.sq_used <- t.sq_used - 1
-    | _ -> ());
-    if Pack.state fl = Pack.state_waiting then begin
-      t.waiting_count <- t.waiting_count - 1;
-      if e.park_stamp = t.wake_epoch then
-        t.parked_current <- t.parked_current - 1;
-      if Pack.blocked_src fl <> Pack.blocked_none then
-        t.blocked_waiting <- t.blocked_waiting - 1
-    end
-    else if Pack.is_load fl && not (Pack.vp_done fl) then
-      t.vp_pending <- t.vp_pending - 1
+    let fl = (entry_at t i).flags in
+    if Pack.is_load fl then t.lq_used <- t.lq_used - 1
+    else if Pack.is_store fl then t.sq_used <- t.sq_used - 1
   done;
   let removed = t.count - pos - 1 in
   t.count <- pos + 1;
   t.next_seq <- t.next_seq - removed;
-  (* Squashed seqs are a suffix of the (sorted) actionable list. *)
+  (* Squashed seqs are a suffix of the (sorted) actionable list and seq
+     sets; stale wheel and waiter entries are filtered where read. *)
   while t.act_len > 0 && t.act.(t.act_len - 1) >= t.next_seq do
     t.act_len <- t.act_len - 1
   done;
+  Seqset.truncate t.woken t.next_seq;
+  Seqset.truncate t.ctrls t.next_seq;
+  Seqset.truncate t.ustores t.next_seq;
+  Seqset.truncate t.vp_loads t.next_seq;
+  t.issue_dirty <- true;
   rebuild_rat t
 
 let redirect_fetch t va delay =
@@ -766,10 +913,11 @@ let redirect_fetch t va delay =
   t.fetch_ready_at <- t.now + delay;
   t.last_fetch_line <- -1
 
-(* Resolution of a completed control-flow instruction at ROB position [pos].
-   Returns true if younger entries were squashed. *)
+(* Resolution of a completed control-flow instruction at ROB position [pos];
+   a misprediction squashes every younger entry. *)
 let resolve_ctrl t pos e =
   e.flags <- Pack.with_resolved e.flags true;
+  Seqset.remove t.ctrls e.seq;
   let squash target_va restore_stack restore_depth restore_ghr =
     t.ctrs.squashes <- t.ctrs.squashes + 1;
     record_event t Ev_squash ~va:e.va ~seq:e.seq;
@@ -785,20 +933,15 @@ let resolve_ctrl t pos e =
   in
   match e.insn with
   | Insn.Branch _ ->
-    (match e.tage_meta with
-    | Some meta ->
-      Tage.update t.tage ~pc:e.va ~hist:e.ghr_snap meta
-        ~taken:(Pack.actual_taken e.flags)
-    | None -> ());
+    Tage.update t.tage ~pc:e.va ~hist:e.ghr_snap e.tage_meta
+      ~taken:(Pack.actual_taken e.flags);
     if Pack.actual_taken e.flags <> Pack.pred_taken e.flags then begin
       t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
       let ghr' =
         (e.ghr_snap lsl 1) lor (if Pack.actual_taken e.flags then 1 else 0)
       in
-      squash e.actual_target_va e.stack_snap e.depth_snap ghr';
-      true
+      squash e.actual_target_va e.stack_snap e.depth_snap ghr'
     end
-    else false
   | Insn.Icall _ ->
     (* Shadow-BTB schemes defer BTB training to commit: a squashed (transient)
        indirect call must leave no predictor state behind. *)
@@ -808,7 +951,7 @@ let resolve_ctrl t pos e =
     let depth' = e.depth_snap + 1 in
     if e.pred_target_va = -1 then begin
       (* Fetch was stalled on this instruction: resume, no squash. *)
-      (match t.fetch with
+      match t.fetch with
       | Stalled_ctrl s when s = e.seq ->
         if e.fault <> None then t.fetch <- Stopped
         else begin
@@ -816,75 +959,125 @@ let resolve_ctrl t pos e =
           (* A retpolined indirect call pays for the capture sequence. *)
           redirect_fetch t e.actual_target_va (if t.cfg.retpoline then 24 else 1)
         end
-      | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ());
-      false
+      | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ()
     end
-    else if e.fault <> None then begin
-      squash (-1) stack' depth' t.ghr;
-      true
-    end
+    else if e.fault <> None then squash (-1) stack' depth' t.ghr
     else if e.actual_target_va <> e.pred_target_va then begin
       t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
-      squash e.actual_target_va stack' depth' t.ghr;
-      true
+      squash e.actual_target_va stack' depth' t.ghr
     end
-    else false
   | Insn.Ret ->
     let stack' = match e.stack_snap with [] -> [] | _ :: rest -> rest in
     let depth' = max 0 (e.depth_snap - 1) in
     if e.pred_target_va = -1 then begin
-      (match t.fetch with
+      match t.fetch with
       | Stalled_ctrl s when s = e.seq ->
         if e.fault <> None then t.fetch <- Stopped
         else redirect_fetch t e.actual_target_va 1
-      | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ());
-      false
+      | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ()
     end
-    else if e.fault <> None then begin
-      squash (-1) stack' depth' t.ghr;
-      true
-    end
+    else if e.fault <> None then squash (-1) stack' depth' t.ghr
     else if e.actual_target_va <> e.pred_target_va then begin
       t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
-      squash e.actual_target_va stack' depth' t.ghr;
-      true
+      squash e.actual_target_va stack' depth' t.ghr
     end
-    else false
-  | _ -> false
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Completion: turn finished executions into Completed entries and resolve
-   control flow, oldest first.                                          *)
+(* Completion: the wheel bucket of the current cycle, oldest first.    *)
 (* ------------------------------------------------------------------ *)
 
-(* No-op unless a completion can be due ([next_done_at] is a sound lower
-   bound: every issue site raises awareness via the end of [issue_step], and
-   entry removal only ever raises the true minimum).  When the scan does
-   run it recomputes the exact bound over the surviving entries — a squash
-   only removes entries younger than the stop position, so every survivor
-   was visited. *)
+let push_bucket t b seq =
+  let n = Array.unsafe_get t.wheel_len b in
+  let a = Array.unsafe_get t.wheel b in
+  let a =
+    if n < Array.length a then a
+    else begin
+      let a' = grown a n in
+      t.wheel.(b) <- a';
+      a'
+    end
+  in
+  Array.unsafe_set a n seq;
+  t.wheel_len.(b) <- n + 1
+
+let push_far t seq at =
+  if t.far_len = Array.length t.far_seq then begin
+    t.far_seq <- grown t.far_seq t.far_len;
+    t.far_at <- grown t.far_at t.far_len
+  end;
+  t.far_seq.(t.far_len) <- seq;
+  t.far_at.(t.far_len) <- at;
+  t.far_len <- t.far_len + 1;
+  if at < t.far_min then t.far_min <- at
+
+(* Schedule an entry just marked Issued to complete at cycle [at].  The seed
+   model's completion scan runs before issue, so an entry issued at cycle c
+   completes at c + 1 at the earliest, whatever its latency. *)
+let schedule t e at =
+  let at = if at > t.now then at else t.now + 1 in
+  e.done_at <- at;
+  if at - t.now <= t.wheel_mask then push_bucket t (at land t.wheel_mask) e.seq
+  else push_far t e.seq at
+
+(* Move the overflow entries due now into the current bucket [b]. *)
+let pull_far t b =
+  let k = ref 0 in
+  let m = ref max_int in
+  for i = 0 to t.far_len - 1 do
+    let at = t.far_at.(i) in
+    if at = t.now then push_bucket t b t.far_seq.(i)
+    else if at > t.now then begin
+      t.far_seq.(!k) <- t.far_seq.(i);
+      t.far_at.(!k) <- at;
+      incr k;
+      if at < !m then m := at
+    end
+  done;
+  t.far_len <- !k;
+  t.far_min <- !m
+
+(* Wake the live entries sleeping on [p] onto the wake list, which the walk
+   merges into the actionable list. *)
+let wake_waiters t p =
+  for i = 0 to p.n_waiters - 1 do
+    let s = p.waiters.(i) in
+    let pos = pos_of_seq t s in
+    if pos >= 0 && pos < t.count then begin
+      let w = entry_at t pos in
+      if w.sleep_on = p.seq then begin
+        w.sleep_on <- -1;
+        Seqset.add t.woken s
+      end
+    end
+  done;
+  p.n_waiters <- 0
+
+(* Every entry completes in exactly the cycle the seed model's full-ROB scan
+   completes it: its bucket is drained in that cycle, in seq order, and a
+   squash by an older control leaves the younger seqs outside the live
+   window, so they are skipped as the scan's early stop skipped them. *)
 let completion_step t =
-  if t.now >= t.next_done_at then begin
-    let nxt = ref max_int in
-    let i = ref 0 in
-    let stop = ref false in
-    while (not !stop) && !i < t.count do
-      let e = entry_at t !i in
-      if Pack.state e.flags = Pack.state_issued then begin
-        if e.done_at <= t.now then begin
-          e.flags <- Pack.with_state e.flags Pack.state_completed;
-          (* A completion opens a new parking epoch: operand captures that
-             failed before may now succeed, so every parked entry must
-             re-attempt. *)
-          t.wake_epoch <- t.wake_epoch + 1;
-          t.parked_current <- 0;
-          if Pack.is_ctrl e.flags then if resolve_ctrl t !i e then stop := true
-        end
-        else if e.done_at < !nxt then nxt := e.done_at
-      end;
-      incr i
-    done;
-    t.next_done_at <- !nxt
+  let b = t.now land t.wheel_mask in
+  if t.far_min <= t.now then pull_far t b;
+  let n = Array.unsafe_get t.wheel_len b in
+  if n > 0 then begin
+    let a = Array.unsafe_get t.wheel b in
+    t.wheel_len.(b) <- 0;
+    sort_prefix a n;
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get a i in
+      let pos = pos_of_seq t s in
+      if pos >= 0 && pos < t.count then begin
+      let e = entry_at t pos in
+      if Pack.state e.flags = Pack.state_issued && e.done_at = t.now then begin
+        e.flags <- Pack.with_state e.flags Pack.state_completed;
+        t.issue_dirty <- true;
+        if e.n_waiters > 0 then wake_waiters t e;
+        if Pack.is_ctrl e.flags then resolve_ctrl t pos e
+      end
+      end
+    done
   end
 
 (* ------------------------------------------------------------------ *)
@@ -892,29 +1085,24 @@ let completion_step t =
 (* ------------------------------------------------------------------ *)
 
 let retire_bookkeeping t e =
-  let slot = e.seq mod cap t in
-  t.retired_seq.(slot) <- e.seq;
-  t.retired_val.(slot) <- e.value;
+  (* The head's ROB slot is its seq modulo the capacity. *)
+  t.retired_seq.(t.head) <- e.seq;
+  t.retired_val.(t.head) <- e.value;
   if e.dest >= 0 then begin
     t.arf.(e.dest) <- e.value;
     if t.rat.(e.dest) = e.seq then t.rat.(e.dest) <- -1
   end;
-  (match e.insn with
-  | Insn.Load _ ->
+  if Pack.is_load e.flags then begin
     t.lq_used <- t.lq_used - 1;
     (* A load can retire without ever reaching its visibility point (it
-       completed and committed in the same cycle, before the issue scan). *)
-    if not (Pack.vp_done e.flags) then t.vp_pending <- t.vp_pending - 1
-  | Insn.Store _ ->
-    t.sq_used <- t.sq_used - 1;
-    (* A retiring store leaves the forwarding window: loads it was hiding
-       now access memory, so parked store-gated loads must re-attempt. *)
-    t.wake_epoch <- t.wake_epoch + 1;
-    t.parked_current <- 0
-  | _ -> ());
+       completed and committed in the same cycle, before the issue walk). *)
+    if not (Pack.vp_done e.flags) then Seqset.remove t.vp_loads e.seq
+  end
+  else if Pack.is_store e.flags then t.sq_used <- t.sq_used - 1;
   let h = t.head + 1 in
   t.head <- (if h >= cap t then 0 else h);
-  t.count <- t.count - 1
+  t.count <- t.count - 1;
+  t.issue_dirty <- true
 
 let commit_step t =
   let budget = ref t.cfg.commit_width in
@@ -1073,6 +1261,15 @@ let count_fence t src =
   | Guard.Dsv -> t.ctrs.fences_dsv <- t.ctrs.fences_dsv + 1
   | Guard.Baseline -> t.ctrs.fences_baseline <- t.ctrs.fences_baseline + 1
 
+(* A load just marked Issued joins [vp_loads] when the pass ends: its
+   visibility point is reached by a later pass, never the issuing one. *)
+let load_issued t e ~speculative at =
+  e.flags <-
+    Pack.with_spec_at_issue (Pack.with_state e.flags Pack.state_issued) speculative;
+  schedule t e at;
+  t.vp_new.(t.vp_new_len) <- e.seq;
+  t.vp_new_len <- t.vp_new_len + 1
+
 let issue_load_to_memory t e ~speculative =
   let key = Layout.phys_key ~asid:t.asid e.eff_addr in
   let lat =
@@ -1081,21 +1278,14 @@ let issue_load_to_memory t e ~speculative =
     | _ -> Memsys.data_read_lat t.memsys key
   in
   e.value <- Mem.load (Memsys.mem t.memsys) key;
-  e.done_at <- t.now + lat;
-  t.vp_pending <- t.vp_pending + 1;
-  if Pack.blocked_src e.flags <> Pack.blocked_none then
-    t.blocked_waiting <- t.blocked_waiting - 1;
-  e.flags <-
-    Pack.with_spec_at_issue
-      (Pack.with_state e.flags Pack.state_issued)
-      speculative;
+  load_issued t e ~speculative (t.now + lat);
   if speculative then begin
     t.ctrs.spec_loads <- t.ctrs.spec_loads + 1;
     e.taint_root <- max e.taint_root e.seq
   end
 
 (* Youngest older store to [word], or -1: the scratch arrays are filled in
-   scan order (oldest first), so the backward scan matches the head-first
+   walk order (oldest first), so the backward scan matches the head-first
    lookup of an assoc list consed youngest-first. *)
 let fwd_find t word =
   let rec go j =
@@ -1110,26 +1300,35 @@ let fwd_push t word v =
   t.fwd_val.(t.fwd_len) <- v;
   t.fwd_len <- t.fwd_len + 1
 
-(* Park an entry whose operand capture failed purely (a producer has not
-   completed).  A failed capture has no side effects and its outcome can only
-   change when some entry completes, so the dispatch attempt is skipped until
-   the completion epoch moves. *)
-let park t e =
-  if e.park_stamp <> t.wake_epoch then begin
-    e.park_stamp <- t.wake_epoch;
-    t.parked_current <- t.parked_current + 1
-  end
-
-(* Operand-wait parking: additionally remember which producer the failed
-   capture short-circuited on, so only that producer's completion (or
-   retirement) wakes the entry — not every epoch bump. *)
-let park_dep t e =
-  e.park_seq <- (if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1);
-  park t e
+(* Reach the visibility point of every load in [vp_loads] from [vp_next] on
+   whose seq is below [bound]: no older instruction can squash it any more.
+   The walk calls this before each listed entry with [bound] = min(that
+   entry's seq, oldest unresolved control), so visibility points interleave
+   with dispatch attempts (and their guard calls) in seq order. *)
+let reach_vps t bound =
+  let s = t.vp_loads in
+  while t.vp_next < s.Seqset.len && Array.unsafe_get s.Seqset.a t.vp_next < bound do
+    let e = entry_at t (pos_of_seq t (Array.unsafe_get s.Seqset.a t.vp_next)) in
+    t.vp_next <- t.vp_next + 1;
+    t.issue_dirty <- true;
+    let fl = e.flags in
+    e.flags <- Pack.with_vp_done fl true;
+    (* Only architecturally-surviving loads reach here, so the dload trace
+       is the sequential projection of the D-cache access stream. *)
+    if Array.length t.trace_buf > 0 && Pack.addr_known fl then
+      record_event t
+        (Ev_dload (Layout.phys_key ~asid:t.asid e.eff_addr / Layout.line_bytes))
+        ~va:e.va ~seq:e.seq;
+    match t.guard.Guard.notify_vp with
+    | Some f when Pack.addr_known fl ->
+      f ~insn_va:e.va ~addr:e.eff_addr ~asid:t.asid ~kernel_mode:(Pack.kernel fl)
+    | Some _ | None -> ()
+  done
 
 (* Exact serialization check for a fence at position [pos]: every strictly
-   older entry is completed.  Evaluated directly against the ROB prefix, and
-   only on a fence's (epoch-gated, hence rare) dispatch attempts. *)
+   older entry is completed.  Evaluated directly against the ROB prefix; a
+   failed check changes nothing, so the clean-pass rule retries it only
+   after an event. *)
 let older_all_completed t pos =
   let rec go k =
     k >= pos
@@ -1138,124 +1337,82 @@ let older_all_completed t pos =
   go 0
 
 let issue_step t =
-  (* The whole pass is elided when it is provably a no-op: every Waiting
-     entry is parked under the current completion epoch, no issued load is
-     awaiting its visibility-point transition, and no guard-blocked load
-     needs its per-cycle guard re-query (those re-queries mutate view-cache
-     statistics, so they are architecturally observable and cannot be
-     skipped).  Long DRAM and fence stalls then cost no ROB walk at all. *)
-  if
-    t.waiting_count = t.parked_current
-    && t.vp_pending = 0
-    && t.blocked_waiting = 0
-  then ()
-  else begin
-  let budget = ref t.cfg.issue_width in
-  let older_unresolved_ctrl = ref false in
+  (* A pass runs only if something that can change its outcome happened
+     since the last pass that changed nothing (see [issue_dirty]).  A pass
+     that queried the guard counts as a change, so a guard-blocked load the
+     walk reaches is re-queried every cycle exactly as in the seed model:
+     those queries move view-cache statistics. *)
+  if t.issue_dirty then begin
+  t.issue_dirty <- false;
+  let width = t.cfg.issue_width in
+  let budget = ref width in
   let older_fence_incomplete = ref false in
-  let older_store_unknown = ref false in
+  (* Controls resolve only at completion, so this is fixed for the pass:
+     an entry is speculative iff its seq is above it. *)
+  let ctrl_min = Seqset.min t.ctrls in
   t.fwd_len <- 0;
+  t.vp_next <- 0;
+  let src = t.act in
+  let n = t.act_len in
+  let dst = t.act_spare in
+  let woken = t.woken in
   let k = ref 0 in
+  let wi = ref 0 in
   let out = ref 0 in
-  (* Walk the actionable list (ascending seq = ROB order), compacting it in
-     place.  The running prefix flags stay exact because every entry that
-     can contribute to them is kept on the list.  Once the issue budget is
-     spent AND an older control is unresolved, the rest of the scan is
-     provably a no-op: both issue branches are budget-gated, visibility
-     points are disabled while speculative, and the running flags only feed
-     those disabled paths — so stop walking. *)
-  while !k < t.act_len && not (!budget = 0 && !older_unresolved_ctrl) do
-    let seq = Array.unsafe_get t.act !k in
+  let walking = ref true in
+  (* Walk the actionable list merged with the wake list (ascending seq =
+     ROB order), writing the survivors to [dst].  Once the issue budget is
+     spent and the next entry is speculative, the rest of the walk is
+     provably a no-op: both issue branches are budget-gated and visibility
+     points are disabled while speculative — so stop walking. *)
+  while !walking do
+    let a = if !k < n then Array.unsafe_get src !k else max_int in
+    let b = if !wi < woken.Seqset.len then Array.unsafe_get woken.Seqset.a !wi else max_int in
+    let seq = if a < b then a else b in
+    if seq = max_int || (!budget = 0 && seq > ctrl_min) then walking := false
+    else begin
+    if a < b then incr k else incr wi;
+    reach_vps t (if seq < ctrl_min then seq else ctrl_min);
     let pos = pos_of_seq t seq in
     (* A negative position is a retired store still on the list: drop it. *)
     if pos >= 0 then begin
     let e = entry_at t pos in
-    let speculative = !older_unresolved_ctrl in
-    (* Visibility point: no older instruction can squash this one. *)
-    (let fl = e.flags in
-     let st = Pack.state fl in
-     if
-       Pack.is_load fl
-       && not (Pack.vp_done fl)
-       && (st = Pack.state_issued || st = Pack.state_completed)
-       && not speculative
-     then begin
-       e.flags <- Pack.with_vp_done fl true;
-       t.vp_pending <- t.vp_pending - 1;
-       (* Only architecturally-surviving loads reach here, so the dload trace
-          is the sequential projection of the D-cache access stream. *)
-       if Array.length t.trace_buf > 0 && Pack.addr_known fl then
-         record_event t
-           (Ev_dload (Layout.phys_key ~asid:t.asid e.eff_addr / Layout.line_bytes))
-           ~va:e.va ~seq:e.seq;
-       match t.guard.Guard.notify_vp with
-       | Some f when Pack.addr_known fl ->
-         f ~insn_va:e.va ~addr:e.eff_addr ~asid:t.asid
-           ~kernel_mode:(Pack.kernel fl)
-       | Some _ | None -> ()
-     end);
-    if
-      Pack.state e.flags = Pack.state_waiting
-      && !budget > 0
-      && not !older_fence_incomplete
-    then begin
-      let parked =
-        if e.park_seq >= 0 then begin
-          let pos = pos_of_seq t e.park_seq in
-          if
-            pos >= 0
-            && Pack.state (entry_at t pos).flags <> Pack.state_completed
-          then begin
-            (* Producer still executing: re-stamp so the pass-elision gate
-               sees this entry as settled for the current epoch. *)
-            park t e;
-            true
-          end
-          else begin
-            e.park_seq <- -1;
-            false
-          end
-        end
-        else e.park_stamp = t.wake_epoch
-      in
-      if not parked then begin
+    let speculative = seq > ctrl_min in
+    if Pack.state e.flags = Pack.state_waiting && !budget > 0 then begin
+      if not !older_fence_incomplete then begin
       match e.insn with
       | Insn.Nop | Insn.Jump _ | Insn.Call _ | Insn.Syscall | Insn.Sysret
       | Insn.Halt ->
         decr budget;
         e.flags <- Pack.with_state e.flags Pack.state_issued;
-        e.done_at <- t.now + 1
+        schedule t e (t.now + 1)
       | Insn.Fence ->
-        (* The serialization condition can only flip on a completion, so a
-           gated fence parks under the same epoch discipline as operand
-           waits. *)
         if older_all_completed t pos then begin
           decr budget;
           e.flags <- Pack.with_state e.flags Pack.state_issued;
-          e.done_at <- t.now + 1
+          schedule t e (t.now + 1)
         end
-        else park t e
       | Insn.Limm (_, v) ->
         decr budget;
         e.value <- v;
         e.flags <- Pack.with_state e.flags Pack.state_issued;
-        e.done_at <- t.now + 1
+        schedule t e (t.now + 1)
       | Insn.Alu (op, _, _, _) ->
         if operands_ready t e then begin
           decr budget;
           e.value <- Insn.eval_binop op e.src_val0 e.src_val1;
           e.flags <- Pack.with_state e.flags Pack.state_issued;
-          e.done_at <- t.now + 1
+          schedule t e (t.now + 1)
         end
-        else park_dep t e
+        else sleep t e
       | Insn.Alui (op, _, _, v) ->
         if operands_ready t e then begin
           decr budget;
           e.value <- Insn.eval_binop op e.src_val0 v;
           e.flags <- Pack.with_state e.flags Pack.state_issued;
-          e.done_at <- t.now + 1
+          schedule t e (t.now + 1)
         end
-        else park_dep t e
+        else sleep t e
       | Insn.Branch (c, _, _, tgt) ->
         if operands_ready t e then begin
           decr budget;
@@ -1264,9 +1421,9 @@ let issue_step t =
           let next_idx = if taken then tgt else e.e_idx + 1 in
           e.actual_target_va <- insn_va_of t e.e_fid next_idx;
           e.flags <- Pack.with_state e.flags Pack.state_issued;
-          e.done_at <- t.now + t.cfg.branch_latency
+          schedule t e (t.now + t.cfg.branch_latency)
         end
-        else park_dep t e
+        else sleep t e
       | Insn.Icall _ ->
         if operands_ready t e then begin
           decr budget;
@@ -1278,9 +1435,9 @@ let issue_step t =
           | Some _ | None ->
             e.fault <- Some (Printf.sprintf "icall to invalid VA %#x" target));
           e.flags <- Pack.with_state e.flags Pack.state_issued;
-          e.done_at <- t.now + t.cfg.branch_latency
+          schedule t e (t.now + t.cfg.branch_latency)
         end
-        else park_dep t e
+        else sleep t e
       | Insn.Ret ->
         decr budget;
         (if e.ret_target < 0 then e.fault <- Some "ret with empty stack"
@@ -1290,16 +1447,16 @@ let issue_step t =
         let key = ret_stack_va ~asid:t.asid ~depth:e.ret_depth in
         let lat = Memsys.data_read_lat t.memsys key in
         e.flags <- Pack.with_state e.flags Pack.state_issued;
-        e.done_at <- t.now + lat
+        schedule t e (t.now + lat)
       | Insn.Flush (_, off) ->
         if operands_ready t e then begin
           decr budget;
           e.eff_addr <- e.src_val0 + off;
           e.flags <-
             Pack.with_state (Pack.with_addr_known e.flags true) Pack.state_issued;
-          e.done_at <- t.now + 1
+          schedule t e (t.now + 1)
         end
-        else park_dep t e
+        else sleep t e
       | Insn.Store (_, _, off) ->
         if operands_ready t e then begin
           decr budget;
@@ -1307,16 +1464,18 @@ let issue_step t =
           e.store_val <- e.src_val1;
           e.flags <-
             Pack.with_state (Pack.with_addr_known e.flags true) Pack.state_issued;
-          e.done_at <- t.now + 1;
-          (* The store's address is now known: younger loads parked behind
-             [older_store_unknown] must re-attempt. *)
-          t.wake_epoch <- t.wake_epoch + 1;
-          t.parked_current <- 0
+          schedule t e (t.now + 1);
+          (* The address is known now: younger loads held back by it
+             re-attempt later in this same walk. *)
+          Seqset.remove t.ustores seq;
+          if e.n_waiters > 0 then wake_waiters t e
         end
-        else park_dep t e
+        else sleep t e
       | Insn.Load (_, _, off) ->
         if operands_ready t e then begin
-          if not !older_store_unknown then begin
+          let store = Seqset.pred t.ustores seq in
+          if store >= 0 then sleep_on t e store
+          else begin
           e.eff_addr <- e.src_val0 + off;
           e.flags <- Pack.with_addr_known e.flags true;
           let word = e.eff_addr lsr 3 in
@@ -1325,14 +1484,7 @@ let issue_step t =
             (* Store-to-load forwarding: no cache access. *)
             decr budget;
             e.value <- Array.unsafe_get t.fwd_val j;
-            t.vp_pending <- t.vp_pending + 1;
-            if Pack.blocked_src e.flags <> Pack.blocked_none then
-              t.blocked_waiting <- t.blocked_waiting - 1;
-            e.flags <-
-              Pack.with_spec_at_issue
-                (Pack.with_state e.flags Pack.state_issued)
-                speculative;
-            e.done_at <- t.now + 1
+            load_issued t e ~speculative (t.now + 1)
           end
           else begin
             let query =
@@ -1349,6 +1501,7 @@ let issue_step t =
                 tainted = root_active t e.taint_root;
               }
             in
+            t.issue_dirty <- true;
             match t.guard.Guard.check query with
             | Guard.Allow ->
               decr budget;
@@ -1357,61 +1510,63 @@ let issue_step t =
               if Pack.blocked_src e.flags = Pack.blocked_none then begin
                 e.flags <-
                   Pack.with_blocked_src e.flags (blocked_code_of_source src);
-                t.blocked_waiting <- t.blocked_waiting + 1;
                 count_fence t src;
                 record_event t (Ev_fence src) ~va:e.va ~seq:e.seq
               end
           end
           end
-          (* Operands ready but fenced behind a store with unknown address:
-             that status can only change when a store issues or retires or
-             an entry completes — all of which bump the wake epoch. *)
-          else park t e
         end
-        else park_dep t e
+        else sleep t e
       end
-    end
-    else if
-      Pack.state e.flags = Pack.state_waiting
-      && !budget > 0
-      && Pack.blocked_src e.flags <> Pack.blocked_none
-      && not speculative
-    then begin
-      (* A fenced load at its visibility point issues non-speculatively. *)
-      decr budget;
-      record_event t Ev_vp_release ~va:e.va ~seq:e.seq;
-      issue_load_to_memory t e ~speculative:false
+      else if Pack.blocked_src e.flags <> Pack.blocked_none && not speculative
+      then begin
+        (* A fenced load at its visibility point issues non-speculatively. *)
+        decr budget;
+        record_event t Ev_vp_release ~va:e.va ~seq:e.seq;
+        issue_load_to_memory t e ~speculative:false
+      end
     end;
-    (* Update running flags with this entry included. *)
+    (* Update the running state with this entry included. *)
     let fl = e.flags in
-    if Pack.is_ctrl fl && not (Pack.resolved fl) then older_unresolved_ctrl := true;
-    (if Pack.is_fence fl then begin
-       if Pack.state fl <> Pack.state_completed then older_fence_incomplete := true
-     end
-     else if Pack.is_store fl then
-       if Pack.addr_known fl then fwd_push t (e.eff_addr lsr 3) e.store_val
-       else older_store_unknown := true);
-    if act_keep fl then begin
-      Array.unsafe_set t.act !out seq;
+    if Pack.is_fence fl then begin
+      if Pack.state fl <> Pack.state_completed then older_fence_incomplete := true
+    end
+    else if Pack.is_store fl && Pack.addr_known fl then
+      fwd_push t (e.eff_addr lsr 3) e.store_val;
+    if e.sleep_on < 0 && act_keep fl then begin
+      Array.unsafe_set dst !out seq;
       incr out
     end
+    end
+    end
+  done;
+  reach_vps t ctrl_min;
+  (* On an early exit the unvisited entries are kept verbatim. *)
+  while !k < n || !wi < woken.Seqset.len do
+    let a = if !k < n then Array.unsafe_get src !k else max_int in
+    let b = if !wi < woken.Seqset.len then Array.unsafe_get woken.Seqset.a !wi else max_int in
+    if a < b then begin
+      Array.unsafe_set dst !out a;
+      incr k
+    end
+    else begin
+      Array.unsafe_set dst !out b;
+      incr wi
     end;
-    incr k
+    incr out
   done;
-  (* On an early exit the unprocessed tail is kept verbatim. *)
-  while !k < t.act_len do
-    Array.unsafe_set t.act !out (Array.unsafe_get t.act !k);
-    incr out;
-    incr k
-  done;
+  t.act <- dst;
+  t.act_spare <- src;
   t.act_len <- !out;
-  (* Every spent unit of issue budget moved exactly one entry out of
-     Waiting, so the count is settled once per pass. *)
-  t.waiting_count <- t.waiting_count - (t.cfg.issue_width - !budget);
-  (* Anything issued this pass finishes no earlier than the next cycle; the
-     next completion scan recomputes the exact bound. *)
-  if !budget < t.cfg.issue_width && t.now + 1 < t.next_done_at then
-    t.next_done_at <- t.now + 1
+  woken.Seqset.len <- 0;
+  Seqset.drop_prefix t.vp_loads t.vp_next;
+  for i = 0 to t.vp_new_len - 1 do
+    Seqset.add t.vp_loads t.vp_new.(i)
+  done;
+  t.vp_new_len <- 0;
+  (* Entries that went to sleep or failed a fence check changed nothing a
+     re-run could see; an issue, a visibility point or a guard query did. *)
+  if !budget < width then t.issue_dirty <- true
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1419,32 +1574,45 @@ let issue_step t =
 (* ------------------------------------------------------------------ *)
 
 let fetch_step t =
-  let budget = ref t.cfg.fetch_width in
-  let continue_fetch = ref true in
-  while
-    !continue_fetch && !budget > 0 && t.count < cap t
-    && t.fetch_ready_at <= t.now
-  do
-    match t.fetch with
-    | Stopped | Stalled_ctrl _ | Stalled_serial -> continue_fetch := false
-    | Fetching (fid, idx) -> (
-      match Program.fetch t.prog fid idx with
-      | None ->
+  match t.fetch with
+  | Fetching (fid0, idx0) when t.fetch_ready_at <= t.now ->
+    (* The fetch position lives in locals while the loop advances it, and
+       is written back once unless the loop left the [Fetching] state. *)
+    let fid = ref fid0 in
+    let idx = ref idx0 in
+    let d = ref no_fdec in
+    let d_fid = ref (-1) in
+    let budget = ref t.cfg.fetch_width in
+    let continue_fetch = ref true in
+    while !continue_fetch && !budget > 0 && t.count < cap t do
+      let fid_ = !fid in
+      let idx_ = !idx in
+      if !d_fid <> fid_ then begin
+        d := fdec t fid_;
+        d_fid := fid_
+      end;
+      let d = !d in
+      let va = d.base_va + (idx_ * Layout.insn_bytes) in
+      if idx_ < 0 || idx_ >= Array.length d.body then begin
         (* Fell off the end of a function body: architectural fault if it
            commits; on a wrong path the squash will discard it. *)
-        let e = make_entry t fid idx ~va:(insn_va_of t fid idx) Insn.Halt in
-        e.fault <- Some (Printf.sprintf "fell off function f%d at %d" fid idx);
+        let e =
+          make_entry t fid_ idx_ ~va Insn.Halt
+            (predecode ~kernel:(is_kernel_fid t fid_) Insn.Halt)
+        in
+        e.fault <- Some (Printf.sprintf "fell off function f%d at %d" fid_ idx_);
         e.flags <- Pack.with_state e.flags Pack.state_issued;
-        t.waiting_count <- t.waiting_count - 1;
-        e.done_at <- t.now + 1;
-        if t.now + 1 < t.next_done_at then t.next_done_at <- t.now + 1;
+        schedule t e (t.now + 1);
         t.fetch <- Stopped;
         continue_fetch := false
-      | Some insn ->
-        let va = insn_va_of t fid idx in
-        let line = Layout.line_of (Layout.phys_key ~asid:t.asid va) in
+      end
+      else begin
+        let insn = Array.unsafe_get d.body idx_ in
+        let w = Array.unsafe_get d.words idx_ in
+        let key = Layout.phys_key ~asid:t.asid va in
+        let line = Layout.line_of key in
         if line <> t.last_fetch_line then begin
-          let lat = Memsys.inst_read t.memsys (Layout.phys_key ~asid:t.asid va) in
+          let lat = Memsys.inst_read t.memsys key in
           t.last_fetch_line <- line;
           if lat > Cache.latency (Memsys.l1i t.memsys) then begin
             t.fetch_ready_at <- t.now + lat;
@@ -1452,29 +1620,30 @@ let fetch_step t =
           end
         end;
         if !continue_fetch then begin
-          let lq_full = Insn.is_load insn && t.lq_used >= t.cfg.lq_entries in
-          let sq_full = Insn.is_store insn && t.sq_used >= t.cfg.sq_entries in
+          let lq_full = Pack.is_load w && t.lq_used >= t.cfg.lq_entries in
+          let sq_full = Pack.is_store w && t.sq_used >= t.cfg.sq_entries in
           if lq_full || sq_full then continue_fetch := false
           else begin
             decr budget;
-            let e = make_entry t fid idx ~va insn in
+            let e = make_entry t fid_ idx_ ~va insn w in
             match insn with
             | Insn.Branch (_, _, _, tgt) ->
-              let pred, meta = Tage.predict t.tage ~pc:va ~hist:t.ghr in
+              if e.tage_meta == no_meta then e.tage_meta <- Tage.meta_create ();
+              let pred = Tage.predict_into t.tage ~pc:va ~hist:t.ghr e.tage_meta in
               e.flags <- Pack.with_pred_taken e.flags pred;
-              e.tage_meta <- Some meta;
               e.ghr_snap <- t.ghr;
               e.stack_snap <- t.dispatch_stack;
               e.depth_snap <- t.dispatch_depth;
               e.pred_target_va <- 0;
               t.ghr <- ((t.ghr lsl 1) lor if pred then 1 else 0) land max_int;
-              t.fetch <- Fetching (fid, if pred then tgt else idx + 1)
-            | Insn.Jump tgt -> t.fetch <- Fetching (fid, tgt)
+              idx := if pred then tgt else idx_ + 1
+            | Insn.Jump tgt -> idx := tgt
             | Insn.Call callee ->
               Ras.push t.ras (va + Layout.insn_bytes);
               t.dispatch_stack <- (va + Layout.insn_bytes) :: t.dispatch_stack;
               t.dispatch_depth <- t.dispatch_depth + 1;
-              t.fetch <- Fetching (callee, 0)
+              fid := callee;
+              idx := 0
             | Insn.Icall _ -> (
               e.ghr_snap <- t.ghr;
               e.stack_snap <- t.dispatch_stack;
@@ -1487,7 +1656,8 @@ let fetch_step t =
                 | Some (_, tf, ti) ->
                   e.pred_target_va <- target;
                   Ras.push t.ras (va + Layout.insn_bytes);
-                  t.fetch <- Fetching (tf, ti)
+                  fid := tf;
+                  idx := ti
                 | None ->
                   t.fetch <- Stalled_ctrl e.seq;
                   continue_fetch := false)
@@ -1510,7 +1680,8 @@ let fetch_step t =
                 match Layout.decode_code_va pred_va with
                 | Some (_, pf, pi) ->
                   e.pred_target_va <- pred_va;
-                  t.fetch <- Fetching (pf, pi)
+                  fid := pf;
+                  idx := pi
                 | None ->
                   t.fetch <- Stalled_ctrl e.seq;
                   continue_fetch := false)
@@ -1522,10 +1693,15 @@ let fetch_step t =
               continue_fetch := false
             | Insn.Nop | Insn.Limm _ | Insn.Alu _ | Insn.Alui _ | Insn.Load _
             | Insn.Store _ | Insn.Fence | Insn.Flush _ ->
-              t.fetch <- Fetching (fid, idx + 1)
+              idx := idx_ + 1
           end
-        end)
-  done
+        end
+      end
+    done;
+    (match t.fetch with
+    | Fetching _ when !fid <> fid0 || !idx <> idx0 -> t.fetch <- Fetching (!fid, !idx)
+    | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ())
+  | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Top-level run loop                                                   *)
@@ -1551,12 +1727,15 @@ let reset_run_state t ~asid ~start regs =
   t.commit_depth <- 0;
   t.lq_used <- 0;
   t.sq_used <- 0;
-  t.next_done_at <- max_int;
+  Array.fill t.wheel_len 0 (Array.length t.wheel_len) 0;
+  t.far_len <- 0;
+  t.far_min <- max_int;
   t.act_len <- 0;
-  t.waiting_count <- 0;
-  t.parked_current <- 0;
-  t.vp_pending <- 0;
-  t.blocked_waiting <- 0;
+  t.woken.Seqset.len <- 0;
+  t.ctrls.Seqset.len <- 0;
+  t.ustores.Seqset.len <- 0;
+  t.vp_loads.Seqset.len <- 0;
+  t.issue_dirty <- true;
   t.asid <- asid;
   t.kernel_mode <- is_kernel_fid t start;
   t.run_outcome <- None

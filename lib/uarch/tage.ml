@@ -20,14 +20,25 @@ type t = {
 }
 
 type meta = {
-  provider : int; (* table index, -1 = base *)
-  provider_idx : int;
-  alt_pred : bool;
-  provider_pred : bool;
+  mutable provider : int; (* table index, -1 = base *)
+  mutable provider_idx : int;
+  mutable alt_pred : bool;
+  mutable provider_pred : bool;
   indices : int array;
   tags : int array;
-  base_idx : int;
+  mutable base_idx : int;
 }
+
+let meta_create () =
+  {
+    provider = -1;
+    provider_idx = 0;
+    alt_pred = false;
+    provider_pred = false;
+    indices = Array.make num_tables 0;
+    tags = Array.make num_tables 0;
+    base_idx = 0;
+  }
 
 let create () =
   {
@@ -42,10 +53,13 @@ let create () =
 (* Fold [len] bits of history together with the pc into [bits] bits. *)
 let fold pc hist len bits =
   let mask = (1 lsl bits) - 1 in
-  let h = if len >= 63 then hist else hist land ((1 lsl len) - 1) in
-  let rec go acc h = if h = 0 then acc else go (acc lxor (h land mask)) (h lsr bits) in
-  let folded = go 0 h in
-  (folded lxor (pc lsr 2) lxor (pc lsr (2 + bits))) land mask
+  let h = ref (if len >= 63 then hist else hist land ((1 lsl len) - 1)) in
+  let folded = ref 0 in
+  while !h <> 0 do
+    folded := !folded lxor (!h land mask);
+    h := !h lsr bits
+  done;
+  (!folded lxor (pc lsr 2) lxor (pc lsr (2 + bits))) land mask
 
 let tag_of pc hist len =
   let mask = (1 lsl tag_bits) - 1 in
@@ -53,10 +67,14 @@ let tag_of pc hist len =
 
 let base_index pc = (pc lsr 2) land ((1 lsl base_bits) - 1)
 
-let predict t ~pc ~hist =
+let predict_into t ~pc ~hist m =
   t.lookups <- t.lookups + 1;
-  let indices = Array.init num_tables (fun i -> fold pc hist history_lengths.(i) table_bits) in
-  let tags = Array.init num_tables (fun i -> tag_of pc hist history_lengths.(i)) in
+  let indices = m.indices in
+  let tags = m.tags in
+  for i = 0 to num_tables - 1 do
+    indices.(i) <- fold pc hist history_lengths.(i) table_bits;
+    tags.(i) <- tag_of pc hist history_lengths.(i)
+  done;
   let base_idx = base_index pc in
   let base_pred = t.base.(base_idx) >= 2 in
   (* Longest matching component provides; second longest is the alternate. *)
@@ -71,18 +89,17 @@ let predict t ~pc ~hist =
       pred := e.ctr >= 0
     end
   done;
-  let meta =
-    {
-      provider = !provider;
-      provider_idx = (if !provider >= 0 then indices.(!provider) else base_idx);
-      alt_pred = !altpred;
-      provider_pred = !pred;
-      indices;
-      tags;
-      base_idx;
-    }
-  in
-  (!pred, meta)
+  m.provider <- !provider;
+  m.provider_idx <- (if !provider >= 0 then indices.(!provider) else base_idx);
+  m.alt_pred <- !altpred;
+  m.provider_pred <- !pred;
+  m.base_idx <- base_idx;
+  !pred
+
+let predict t ~pc ~hist =
+  let m = meta_create () in
+  let pred = predict_into t ~pc ~hist m in
+  (pred, m)
 
 let sat_inc v hi = if v < hi then v + 1 else v
 

@@ -18,6 +18,14 @@ val create : unit -> t
 
 val predict : t -> pc:int -> hist:int -> bool * meta
 
+val meta_create : unit -> meta
+(** A metadata record to reuse across predictions. *)
+
+val predict_into : t -> pc:int -> hist:int -> meta -> bool
+(** {!predict} writing its metadata into the given record instead of a fresh
+    one, so a caller that keeps one record per in-flight branch allocates
+    nothing per prediction. *)
+
 val update : t -> pc:int -> hist:int -> meta -> taken:bool -> unit
 (** Train with the resolved outcome.  [pc] and [hist] must be the values used
     at prediction time. *)
